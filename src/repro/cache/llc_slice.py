@@ -22,20 +22,6 @@ from typing import Callable, Deque, Optional
 from repro.cache.mshr import MSHRFile, MSHROutcome
 from repro.cache.sram import CacheArray
 from repro.config.gpu import CacheConfig
-from repro.sim import fastlane
-from repro.sim.columnar import (
-    FILL_DEMAND,
-    FILL_INVAL,
-    FILL_REPLICA,
-    META_ATOMIC,
-    META_LOCAL,
-    META_REPLICA,
-    META_STORE,
-    _KIND_META,
-    ColumnarDelayLine,
-    ColumnarFillQueue,
-    ColumnarRequestQueue,
-)
 from repro.sim.engine import Component
 from repro.sim.queues import BoundedQueue, DelayLine
 from repro.sim.request import (
@@ -66,38 +52,14 @@ class LLCSlice(Component):
         self.config = config
         self.array = CacheArray(config.sets, config.ways)
         self.mshr = MSHRFile(config.mshr_entries, name=f"{self.name}.mshr")
-        #: Construction-time fast-lane gate: columnar (struct-of-arrays)
-        #: queues and pipeline, or the plain object-path deques.
-        self._columnar = fastlane.FLAGS.columnar_llc
-        if self._columnar:
-            self.lmr = ColumnarRequestQueue(
-                queue_capacity, name=f"{self.name}.lmr"
-            )
-            self.rmr = ColumnarRequestQueue(
-                queue_capacity, name=f"{self.name}.rmr"
-            )
-            self.fill_queue = ColumnarFillQueue(
-                queue_capacity * 2, name=f"{self.name}.fill"
-            )
-            self._pipe: Optional[ColumnarDelayLine] = ColumnarDelayLine(
-                config.latency
-            )
-            self._pipeline: Optional[DelayLine] = None
-            #: Shadow the class method with the bound columnar tick:
-            #: the engine's ``component.tick(now)`` then dispatches
-            #: straight into the columnar body, sparing the per-cycle
-            #: flag branch and wrapper frame on the hottest call site.
-            self.tick = self._tick_columnar
-        else:
-            self.lmr = BoundedQueue(queue_capacity, name=f"{self.name}.lmr")
-            self.rmr = BoundedQueue(queue_capacity, name=f"{self.name}.rmr")
-            self.fill_queue = BoundedQueue(
-                queue_capacity * 2, name=f"{self.name}.fill"
-            )
-            #: Pipelined access latency: actions take effect ``latency``
-            #: cycles after the port cycle of the array access.
-            self._pipeline = DelayLine(config.latency)
-            self._pipe = None
+        self.lmr = BoundedQueue(queue_capacity, name=f"{self.name}.lmr")
+        self.rmr = BoundedQueue(queue_capacity, name=f"{self.name}.rmr")
+        self.fill_queue = BoundedQueue(
+            queue_capacity * 2, name=f"{self.name}.fill"
+        )
+        #: Pipelined access latency: actions take effect ``latency``
+        #: cycles after the port cycle of the array access.
+        self._pipeline = DelayLine(config.latency)
         self._retry_replies: Deque[MemoryRequest] = deque()
         self._retry_misses: Deque[MemoryRequest] = deque()
         self._rr_pick_local = True
@@ -128,26 +90,6 @@ class LLCSlice(Component):
         """Enqueue a request arriving over the partition link (LMR)."""
         if not self._awake:
             self.wake()
-        if self._columnar:
-            # ColumnarRequestQueue.push inlined (one call per request).
-            queue = self.lmr
-            req = queue.req
-            occupancy = len(req) - queue.head
-            if occupancy >= queue.capacity:
-                return False
-            req.append(request)
-            meta = _KIND_META[request.kind]
-            if request.is_replica_access:
-                meta |= META_REPLICA
-            if request.src_partition == request.home_partition:
-                meta |= META_LOCAL
-            queue.meta.append(meta)
-            queue.line.append(request.line_addr)
-            queue.total_pushed += 1
-            occupancy += 1
-            if occupancy > queue.peak_occupancy:
-                queue.peak_occupancy = occupancy
-            return True
         # BoundedQueue.push inlined (one call per delivered request).
         queue = self.lmr
         items = queue._items
@@ -165,26 +107,6 @@ class LLCSlice(Component):
         """Enqueue a request arriving over the NoC (RMR)."""
         if not self._awake:
             self.wake()
-        if self._columnar:
-            # ColumnarRequestQueue.push inlined (one call per request).
-            queue = self.rmr
-            req = queue.req
-            occupancy = len(req) - queue.head
-            if occupancy >= queue.capacity:
-                return False
-            req.append(request)
-            meta = _KIND_META[request.kind]
-            if request.is_replica_access:
-                meta |= META_REPLICA
-            if request.src_partition == request.home_partition:
-                meta |= META_LOCAL
-            queue.meta.append(meta)
-            queue.line.append(request.line_addr)
-            queue.total_pushed += 1
-            occupancy += 1
-            if occupancy > queue.peak_occupancy:
-                queue.peak_occupancy = occupancy
-            return True
         # BoundedQueue.push inlined (one call per delivered request).
         queue = self.rmr
         items = queue._items
@@ -203,24 +125,18 @@ class LLCSlice(Component):
         misses); releases MSHR waiters when processed."""
         if not self._awake:
             self.wake()
-        if self._columnar:
-            return self.fill_queue.push(FILL_DEMAND, request)
         return self.fill_queue.push((self._FILL, request))
 
     def fill_replica(self, line_addr: int) -> bool:
         """Install a read-only replica without waiters (MDR, Section 5.2)."""
         if not self._awake:
             self.wake()
-        if self._columnar:
-            return self.fill_queue.push(FILL_REPLICA, line_addr)
         return self.fill_queue.push((self._REPLICA, line_addr))
 
     def invalidate(self, line_addr: int) -> bool:
         """Coherence invalidation (SM-side UBA cross-partition stores)."""
         if not self._awake:
             self.wake()
-        if self._columnar:
-            return self.fill_queue.push(FILL_INVAL, line_addr)
         return self.fill_queue.push((self._INVAL, line_addr))
 
     def flush(self) -> list:
@@ -238,8 +154,6 @@ class LLCSlice(Component):
     # ------------------------------------------------------------------
 
     def tick(self, now: int) -> object:
-        # Columnar instances bind ``self.tick = self._tick_columnar``
-        # at construction, so this body is the object path only.
         # The deque objects are stable (mutated in place), so the
         # hoisted locals stay valid across the drain/arbitrate calls
         # and the idle verdict reads them instead of re-walking the
@@ -270,200 +184,6 @@ class LLCSlice(Component):
             return deadline if deadline > now + 1 else False
         return True
 
-    def _tick_columnar(self, now: int) -> object:
-        """One slice cycle over the struct-of-arrays state.
-
-        Semantically identical to the object path (same drain /
-        deliver / arbitrate order, same stats and tracer emissions);
-        the difference is purely representational: maturity sweeps and
-        arbitration read scalar columns with a head index, and the
-        per-request helpers are inlined into one flat body so a busy
-        cycle costs a single call.
-        """
-        retry_replies = self._retry_replies
-        retry_misses = self._retry_misses
-        if retry_replies or retry_misses:
-            self._drain_retries()
-        # Deliver every matured pipeline entry in one sweep over the
-        # deadline column (== _deliver_pipeline; sinks cannot re-enter
-        # this slice's pipeline, so in-place processing matches the
-        # object path's pop-then-process).  The column lists are only
-        # ever mutated in place, so the hoisted locals stay valid for
-        # the whole tick; head cursors live in locals and are written
-        # back once.
-        pipe = self._pipe
-        pipe_at = pipe.at
-        pipe_head = pipe.head
-        if pipe_head < len(pipe_at) and pipe_at[pipe_head] <= now:
-            pipe_tag = pipe.tag
-            pipe_req = pipe.req
-            pipe_len = len(pipe_at)
-            reply_sink = self.reply_sink
-            while pipe_head < pipe_len and pipe_at[pipe_head] <= now:
-                request = pipe_req[pipe_head]
-                if pipe_tag[pipe_head]:  # miss
-                    if not self._send_miss(request):
-                        retry_misses.append(request)
-                elif not reply_sink(request):
-                    retry_replies.append(request)
-                pipe_head += 1
-            if pipe_head >= 64:
-                del pipe_at[:pipe_head]
-                del pipe_tag[:pipe_head]
-                del pipe_req[:pipe_head]
-                pipe_head = 0
-            pipe.head = pipe_head
-        # Arbitrate: fills first, then LMR/RMR round-robin (one array
-        # access per cycle, == _arbitrate + _process_request inlined
-        # over the scalar columns).  Occupancy flags computed here feed
-        # the idle verdict below, so the tail never re-walks the queue
-        # attribute chains.
-        fq = self.fill_queue
-        fq_kind = fq.kind
-        fill_head = fq.head
-        fill_busy = fill_head < len(fq_kind)
-        lmr = self.lmr
-        rmr = self.rmr
-        lmr_req = lmr.req
-        rmr_req = rmr.req
-        lmr_busy = lmr.head < len(lmr_req)
-        rmr_busy = rmr.head < len(rmr_req)
-        if fill_busy:
-            self.port_cycles += 1
-            code = fq_kind[fill_head]
-            payload = fq.payload[fill_head]
-            fill_head += 1
-            if fill_head >= 64:
-                del fq_kind[:fill_head]
-                del fq.payload[:fill_head]
-                fill_head = 0
-            fq.head = fill_head
-            self._process_fill_columnar(code, payload, now)
-            fill_busy = fill_head < len(fq_kind)
-        elif lmr_busy or rmr_busy:
-            if not lmr_busy:
-                queue = rmr
-            elif rmr_busy:
-                queue = lmr if self._rr_pick_local else rmr
-                self._rr_pick_local = not self._rr_pick_local
-            else:
-                queue = lmr
-            head = queue.head
-            request = queue.req[head]
-            meta = queue.meta[head]
-            line = queue.line[head]
-            self.port_cycles += 1
-            if meta & META_LOCAL:
-                self.local_accesses += 1
-            else:
-                self.remote_accesses += 1
-            consumed = True
-            if meta & META_STORE:
-                # == _process_store (write-validate, retire here).
-                if self.array.lookup(line, mark_dirty=True):
-                    self.hits += 1
-                else:
-                    self.misses += 1
-                    victim = self.array.install(line, dirty=True)
-                    if victim is not None and victim.dirty:
-                        self.writebacks += 1
-                        if self.writeback_sink is not None:
-                            self.writeback_sink(victim.line_addr)
-                request.hit_level = "llc"
-                request.complete(now)
-                release_request(request)
-            elif self.array.lookup(line, mark_dirty=meta & META_ATOMIC):
-                self.hits += 1
-                if meta & META_REPLICA:
-                    self.replica_hits += 1
-                request.hit_level = "llc"
-                if self.tracer.enabled:
-                    self.tracer.emit_llc_access(
-                        now, self.name, request, True
-                    )
-                pipe.at.append(now + pipe.delay)
-                pipe.tag.append(0)
-                pipe.req.append(request)
-            else:
-                self.misses += 1
-                outcome = self.mshr.allocate(request)
-                if outcome is MSHROutcome.FULL:
-                    # Stall: leave the entry at the head (the
-                    # object path pops then push_fronts).
-                    self.misses -= 1
-                    self.port_cycles -= 1
-                    consumed = False
-                else:
-                    if self.tracer.enabled:
-                        self.tracer.emit_llc_access(
-                            now, self.name, request, False
-                        )
-                    if outcome is MSHROutcome.ALLOCATED:
-                        pipe.at.append(now + pipe.delay)
-                        pipe.tag.append(1)
-                        pipe.req.append(request)
-            if consumed:
-                head += 1
-                if head >= 64:
-                    del queue.req[:head]
-                    del queue.meta[:head]
-                    del queue.line[:head]
-                    head = 0
-                queue.head = head
-                busy = head < len(queue.req)
-                if queue is lmr:
-                    lmr_busy = busy
-                else:
-                    rmr_busy = busy
-        # Activity verdict from end-of-tick state (occupancy flags were
-        # maintained through arbitration): queued work or blocked
-        # retries keep the slice awake; a pipeline-only slice sleeps
-        # until the head matures (== the object path's verdict).
-        if (retry_replies or retry_misses
-                or lmr_busy or rmr_busy or fill_busy):
-            return False
-        if pipe_head < len(pipe_at):
-            deadline = pipe_at[pipe_head]
-            return deadline if deadline > now + 1 else False
-        return True
-
-    def _process_fill_columnar(self, code: int, payload, now: int) -> None:
-        """== _process_fill_op over the int-coded columnar fill queue."""
-        if code == FILL_INVAL:
-            self.invalidations += 1
-            self.array.invalidate(payload)
-            return
-        if code == FILL_REPLICA:
-            self.replica_fills += 1
-            victim = self.array.install(payload, dirty=False)
-            self._handle_victim(victim)
-            return
-        # Demand fill: install and release waiters.
-        request = payload
-        line_addr = request.line_addr
-        victim = self.array.install(line_addr, dirty=False)
-        self._handle_victim(victim)
-        if request.is_replica_access:
-            self.replica_fills += 1
-        pipe = self._pipe
-        at = now + pipe.delay
-        if line_addr in self.mshr:
-            for waiter in self.mshr.release(line_addr):
-                waiter.hit_level = waiter.hit_level or "mem"
-                if waiter.kind is AccessKind.ATOMIC:
-                    # The atomic modified the freshly installed line.
-                    self.array.lookup(line_addr, mark_dirty=True)
-                pipe.at.append(at)
-                pipe.tag.append(0)
-                pipe.req.append(waiter)
-        else:
-            # Fill without an MSHR entry (e.g. prefetch-style replica
-            # install racing a flush): still reply to the carried request.
-            request.hit_level = request.hit_level or "mem"
-            pipe.at.append(at)
-            pipe.tag.append(0)
-            pipe.req.append(request)
-
     # -- activity contract ---------------------------------------------
 
     def idle(self, now: int) -> bool:
@@ -474,16 +194,6 @@ class LLCSlice(Component):
         the fill arrives (:meth:`fill` wakes it). Queued requests,
         pipelined results and blocked retries all need per-cycle ticks.
         """
-        if self._columnar:
-            lmr = self.lmr
-            rmr = self.rmr
-            fq = self.fill_queue
-            pipe = self._pipe
-            return not (lmr.head < len(lmr.req)
-                        or rmr.head < len(rmr.req)
-                        or fq.head < len(fq.kind)
-                        or self._retry_replies or self._retry_misses
-                        or pipe.head < len(pipe.at))
         return not (
             self.lmr._items or self.rmr._items or self.fill_queue._items
             or self._pipeline._items
@@ -548,7 +258,6 @@ class LLCSlice(Component):
     def _process_request(
         self, request: MemoryRequest, now: int, source: BoundedQueue
     ) -> None:
-        # == self._partition_hint(request), inlined on the hot path.
         if request.src_partition == request.home_partition:
             self.local_accesses += 1
         else:
@@ -641,9 +350,6 @@ class LLCSlice(Component):
                 # Writeback drops are not tolerated; the sink buffers.
                 self.writeback_sink(victim.line_addr)
 
-    def _partition_hint(self, request: MemoryRequest) -> int:
-        return request.home_partition
-
     # ------------------------------------------------------------------
     # Statistics.
     # ------------------------------------------------------------------
@@ -660,12 +366,11 @@ class LLCSlice(Component):
 
     @property
     def pending_work(self) -> int:
-        pipeline = self._pipe if self._columnar else self._pipeline
         return (
             len(self.lmr)
             + len(self.rmr)
             + len(self.fill_queue)
-            + len(pipeline)
+            + len(self._pipeline)
             + len(self._retry_misses)
             + len(self._retry_replies)
             + len(self.mshr)

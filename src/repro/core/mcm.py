@@ -46,10 +46,6 @@ class ModuleEgressLinks(Component):
             )
             for m in range(modules)
         ]
-        #: Per-link accrual mode captured at sleep time (see
-        #: PartitionLinks: a link sleeping credit-starved keeps
-        #: banking credit, replayed in on_skipped).
-        self._accrue = [False] * modules
 
     @staticmethod
     def _deliver(packet: _Packet) -> bool:
@@ -100,21 +96,9 @@ class ModuleEgressLinks(Component):
         return True
 
     def on_sleep(self, now: int) -> None:
-        """Capture per-link accrual mode, then clamp idle credit (see
-        PartitionLinks.on_sleep for the split)."""
-        accrue = self._accrue
-        for index, link in enumerate(self.links):
-            busy = bool(link.input._items)
-            accrue[index] = busy
-            if not busy:
-                link.quiesce()
-
-    def on_skipped(self, cycles: int) -> None:
-        """Replay busy accrual for links that slept with packets
-        queued."""
-        for busy, link in zip(self._accrue, self.links):
-            if busy:
-                link.accrue_skipped(cycles)
+        """Clamp every link's idle credit (see PartitionLinks.on_sleep)."""
+        for link in self.links:
+            link.quiesce()
 
     @property
     def pending(self) -> int:

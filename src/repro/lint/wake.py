@@ -150,33 +150,6 @@ def _has_self_wake(tree: ast.AST) -> bool:
     return False
 
 
-def _tick_method_names(cls: ast.ClassDef) -> Set[str]:
-    """``tick`` plus any method bound over it in ``__init__``.
-
-    Columnar components shadow the class method with a bound variant
-    (``self.tick = self._tick_columnar``), so the timed-deadline scan
-    must look inside the shadow body too.
-    """
-    names = {"tick"}
-    init = next((n for n in cls.body
-                 if isinstance(n, ast.FunctionDef) and n.name == "__init__"),
-                None)
-    if init is None:
-        return names
-    for node in ast.walk(init):
-        if not isinstance(node, ast.Assign):
-            continue
-        for tgt in node.targets:
-            if (isinstance(tgt, ast.Attribute) and tgt.attr == "tick"
-                    and isinstance(tgt.value, ast.Name)
-                    and tgt.value.id == "self"
-                    and isinstance(node.value, ast.Attribute)
-                    and isinstance(node.value.value, ast.Name)
-                    and node.value.value.id == "self"):
-                names.add(node.value.attr)
-    return names
-
-
 def _expr_possibly_timed(expr: ast.expr) -> bool:
     """Could this return expression be an int wakeup deadline?
 
@@ -207,10 +180,9 @@ def _returns_timed_deadline(func: ast.FunctionDef) -> bool:
 
 
 def _is_timed_component(cls: ast.ClassDef) -> bool:
-    """True when any tick body of *cls* can return an int deadline."""
-    tick_names = _tick_method_names(cls)
+    """True when the ``tick`` of *cls* can return an int deadline."""
     for func in cls.body:
-        if (isinstance(func, ast.FunctionDef) and func.name in tick_names
+        if (isinstance(func, ast.FunctionDef) and func.name == "tick"
                 and _returns_timed_deadline(func)):
             return True
     return False

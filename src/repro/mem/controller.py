@@ -18,8 +18,6 @@ from typing import Callable, Deque, Optional, Tuple
 
 from repro.config.gpu import MemoryConfig
 from repro.mem.dram import Bank, CoreClockTimings
-from repro.sim import fastlane
-from repro.sim.columnar import ColumnarMemQueue
 from repro.sim.engine import Component
 from repro.sim.request import (
     AccessKind,
@@ -56,22 +54,7 @@ class MemoryController(Component):
         #: scheduler looks for a row hit each cycle (hardware
         #: schedulers use a similar CAM width).  1 degenerates to FCFS.
         self._window = config.sched_window
-        #: Construction-time fast-lane gate: the request queue as
-        #: struct-of-arrays (bank/row columns scanned against the
-        #: bank-state mirrors below) or a deque of tuples.
-        self._columnar = fastlane.FLAGS.columnar_mem
         self._queue: Deque[Tuple[MemoryRequest, int, int]] = deque()
-        self._cq = ColumnarMemQueue() if self._columnar else None
-        if self._columnar:
-            #: Shadow the class method with the bound columnar tick
-            #: (spares the per-cycle flag branch on the hot call site).
-            self.tick = self._tick_columnar
-        #: Bank-state mirrors (columnar path): ``busy_until`` and
-        #: ``open_row`` as flat int lists, initialised to the Bank()
-        #: defaults and re-synced after every ``bank.access`` -- banks
-        #: are private to this controller, so the mirrors are exact.
-        self._bank_busy = [0] * config.banks_per_channel
-        self._bank_row = [-1] * config.banks_per_channel
         #: Completions ordered by finish cycle. The data bus serialises
         #: every line (``done_at`` equals the advancing bus reservation),
         #: so completions are appended in strictly increasing order and a
@@ -93,22 +76,10 @@ class MemoryController(Component):
 
     @property
     def full(self) -> bool:
-        queue = self._cq if self._columnar else self._queue
-        return len(queue) >= self.queue_capacity
+        return len(self._queue) >= self.queue_capacity
 
     def enqueue(self, request: MemoryRequest) -> bool:
         """Accept a demand request or writeback; False when full."""
-        if self._columnar:
-            cq = self._cq
-            if len(cq.req) - cq.head >= self.queue_capacity:
-                return False
-            if not self._awake:
-                self.wake()
-            line = request.line_addr
-            cq.req.append(request)
-            cq.bank.append(self.bank_of(line))
-            cq.row.append(self.row_of(line))
-            return True
         if len(self._queue) >= self.queue_capacity:
             return False
         if not self._awake:
@@ -126,12 +97,6 @@ class MemoryController(Component):
         if not self._awake:
             self.wake()
         request = acquire_request(AccessKind.STORE, line_addr, sm_id=-1)
-        if self._columnar:
-            cq = self._cq
-            cq.req.append(request)
-            cq.bank.append(self.bank_of(line_addr))
-            cq.row.append(self.row_of(line_addr))
-            return True
         self._queue.append(
             (request, self.bank_of(line_addr), self.row_of(line_addr))
         )
@@ -139,16 +104,14 @@ class MemoryController(Component):
 
     @property
     def pending(self) -> int:
-        queue = self._cq if self._columnar else self._queue
-        return len(queue) + len(self._completions) + len(self._retry_fills)
+        return (len(self._queue) + len(self._completions)
+                + len(self._retry_fills))
 
     # ------------------------------------------------------------------
     # Per-cycle work.
     # ------------------------------------------------------------------
 
     def tick(self, now: int) -> object:
-        # Columnar instances bind ``self.tick = self._tick_columnar``
-        # at construction, so this body is the object path only.
         if self._retry_fills or self._completions:
             self._deliver(now)
         # One command per cycle; bank accesses overlap (bank-level
@@ -191,51 +154,6 @@ class MemoryController(Component):
             return deadline if deadline > now + 1 else False
         return True
 
-    def _tick_columnar(self, now: int) -> object:
-        """== :meth:`tick` over the struct-of-arrays queue.
-
-        Occupancy is checked head-vs-len directly: the container's
-        ``__bool__`` is a Python-level call and this runs every cycle a
-        channel is awake.
-        """
-        if self._retry_fills or self._completions:
-            self._deliver(now)
-        cq = self._cq
-        cq_req = cq.req
-        head = cq.head
-        if head < len(cq_req):
-            occupancy = len(cq_req) - head
-            self._schedule_columnar(now)
-            q_bank = cq.bank
-            head = cq.head
-            if head < len(q_bank):
-                if len(q_bank) - head < occupancy or self._retry_fills:
-                    return False  # issued (or retrying): stay awake
-                if now < self._no_sleep_until:
-                    return False  # anti-churn window: skip the scan
-                # Stalled scan (== the object path): earliest window
-                # bank free cycle, bounded by the completion head.
-                end = head + self._window
-                if end > len(q_bank):
-                    end = len(q_bank)
-                busy = self._bank_busy
-                deadline = busy[q_bank[head]]
-                for i in range(head + 1, end):
-                    busy_until = busy[q_bank[i]]
-                    if busy_until < deadline:
-                        deadline = busy_until
-                completions = self._completions
-                if completions and completions[0][0] < deadline:
-                    deadline = completions[0][0]
-                return deadline if deadline > now + 1 else False
-        if self._retry_fills:
-            return False  # blocked fill: retry the sink every cycle
-        completions = self._completions
-        if completions:
-            deadline = completions[0][0]
-            return deadline if deadline > now + 1 else False
-        return True
-
     # -- activity contract ---------------------------------------------
 
     def idle(self, now: int) -> bool:
@@ -246,11 +164,6 @@ class MemoryController(Component):
         when the next request arrives (:meth:`enqueue` wakes us), so a
         drained controller behaves identically however long it sleeps.
         """
-        if self._columnar:
-            cq = self._cq
-            if cq.head < len(cq.req):
-                return False
-            return not (self._completions or self._retry_fills)
         return not (self._queue or self._completions or self._retry_fills)
 
     def _deliver(self, now: int) -> None:
@@ -301,83 +214,6 @@ class MemoryController(Component):
         is_write = request.kind is AccessKind.STORE
         row_hit = bank.is_row_hit(row)
         data_at = bank.access(row, now, self.timings, is_write=is_write)
-        # Serialise the line over the channel data bus.
-        bus_start = max(data_at, self._bus_free_at)
-        self._bus_free_at = bus_start + self._line_cycles
-        done_at = bus_start + self._line_cycles
-        self.busy_cycles += self._line_cycles
-        self.lines_transferred += 1
-        if self.tracer.enabled:
-            self.tracer.emit_dram_service(
-                now, self.name, request.line_addr, is_write, row_hit,
-                done_at,
-            )
-        if is_write:
-            self.writes += 1
-            completion = None
-            if request.sm_id == -1:
-                # Writeback scheduled; nothing references it any more.
-                release_request(request)
-        else:
-            self.reads += 1
-            completion = request
-        self._completions.append((done_at, completion))
-
-    def _schedule_columnar(self, now: int) -> None:
-        """== :meth:`_schedule` over the struct-of-arrays queue.
-
-        The window scan touches only the scalar ``bank``/``row``
-        columns and the flat bank-state mirrors (no per-entry tuple
-        unpack, no Bank attribute chase); the request object is read
-        once, for the single entry issued.  Pick preference and the
-        issue tail are identical to the object path.
-        """
-        cq = self._cq
-        q_bank = cq.bank
-        q_row = cq.row
-        head = cq.head
-        end = head + self._window
-        if end > len(q_bank):
-            end = len(q_bank)
-        busy = self._bank_busy
-        rows = self._bank_row
-        picked = -1
-        fallback = -1
-        for i in range(head, end):
-            b = q_bank[i]
-            if busy[b] <= now:
-                if rows[b] == q_row[i]:
-                    picked = i
-                    break
-                if fallback < 0:
-                    fallback = i
-        if picked < 0:
-            picked = fallback
-        if picked < 0:
-            return
-
-        request = cq.req[picked]
-        bank_id = q_bank[picked]
-        row = q_row[picked]
-        if picked == head:
-            head += 1
-            if head >= 64:
-                del cq.req[:head]
-                del q_bank[:head]
-                del q_row[:head]
-                head = 0
-            cq.head = head
-        else:
-            del cq.req[picked]
-            del q_bank[picked]
-            del q_row[picked]
-        bank = self.banks[bank_id]
-        is_write = request.kind is AccessKind.STORE
-        row_hit = bank.is_row_hit(row)
-        data_at = bank.access(row, now, self.timings, is_write=is_write)
-        # Re-sync the mirrors with the bank's post-access state.
-        busy[bank_id] = bank.busy_until
-        rows[bank_id] = bank.open_row
         # Serialise the line over the channel data bus.
         bus_start = max(data_at, self._bus_free_at)
         self._bus_free_at = bus_start + self._line_cycles

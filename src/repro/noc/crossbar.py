@@ -18,8 +18,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.sim import fastlane
-from repro.sim.columnar import ColumnarPortQueue
 from repro.sim.engine import Component
 
 #: A sink accepts a delivered item or returns False (downstream full).
@@ -49,17 +47,9 @@ class Crossbar(Component):
         self.queue_capacity = queue_capacity
         self._credit_cap = max(self.port_width, float(max_packet_bytes))
 
-        #: Construction-time fast-lane gate: per-port struct-of-arrays
-        #: input queues (item/size/dest columns) or deques of tuples.
-        self._columnar = fastlane.FLAGS.columnar_xbar
-        if self._columnar:
-            self._in_cols: Optional[List[ColumnarPortQueue]] = [
-                ColumnarPortQueue() for _ in range(ports)
-            ]
-            self._in_queues: List[Deque[Tuple[object, int, int]]] = []
-        else:
-            self._in_cols = None
-            self._in_queues = [deque() for _ in range(ports)]
+        self._in_queues: List[Deque[Tuple[object, int, int]]] = [
+            deque() for _ in range(ports)
+        ]
         self._in_credit = [0.0] * ports
         self._out_credit = [0.0] * ports
         # Start one cycle in the past so ports have credit at cycle 0.
@@ -85,20 +75,6 @@ class Crossbar(Component):
     def inject(self, src_port: int, dest_port: int, item: object,
                size_bytes: int) -> bool:
         """Enqueue a packet at an input port; False when the queue is full."""
-        if self._columnar:
-            queue = self._in_cols[src_port]
-            items = queue.item
-            head = queue.head
-            if len(items) - head >= self.queue_capacity:
-                return False
-            if len(items) == head:
-                self._active.append(src_port)
-            items.append(item)
-            queue.size.append(size_bytes)
-            queue.dest.append(dest_port)
-            if not self._awake:
-                self.wake()
-            return True
         queue = self._in_queues[src_port]
         if len(queue) >= self.queue_capacity:
             return False
@@ -109,16 +85,9 @@ class Crossbar(Component):
             self.wake()
         return True
 
-    def input_occupancy(self, port: int) -> int:
-        """Packets queued at one input port."""
-        if self._columnar:
-            return len(self._in_cols[port])
-        return len(self._in_queues[port])
-
     @property
     def pending(self) -> int:
-        queues = self._in_cols if self._columnar else self._in_queues
-        queued = sum(len(q) for q in queues)
+        queued = sum(len(q) for q in self._in_queues)
         in_flight = sum(len(d) for d in self._arrivals.values())
         return queued + in_flight
 
@@ -130,10 +99,7 @@ class Crossbar(Component):
         if self._arrivals:
             self._deliver(now)
         if self._active:
-            if self._columnar:
-                self._transfer_columnar(now)
-            else:
-                self._transfer(now)
+            self._transfer(now)
             if self._active:
                 return False  # queued inputs: transfer again next cycle
         # Activity verdict from end-of-tick state: no inputs queued, so
@@ -242,85 +208,6 @@ class Crossbar(Component):
                     tracer.emit_hop(now, self.name, port, dest, size, item)
             in_credit[port] = credit
             if queue:
-                still_active.append(port)
-        self._active = still_active
-        self.bytes_transferred += bytes_moved
-        self.packets_transferred += packets_moved
-
-    def _transfer_columnar(self, now: int) -> None:
-        """== :meth:`_transfer` over the struct-of-arrays port queues.
-
-        The credit loop reads the ``size``/``dest`` columns with a
-        head cursor held in a local (written back once per port), so a
-        burst of packets leaving one port costs no deque pops and no
-        tuple unpacks; the ``item`` column is read only for packets
-        actually entering the pipeline.
-        """
-        still_active: List[int] = []
-        active = self._active
-        # Rotate the service order for fairness.
-        self._rr_offset = (self._rr_offset + 1) % max(1, len(active))
-        offset = self._rr_offset
-        order = active[offset:] + active[:offset]
-        in_cols = self._in_cols
-        in_credit = self._in_credit
-        out_credit = self._out_credit
-        out_updated = self._out_updated
-        arrivals = self._arrivals
-        port_width = self.port_width
-        credit_cap = self._credit_cap
-        latency = self.latency
-        tracer = self.tracer
-        trace = tracer.enabled
-        bytes_moved = 0
-        packets_moved = 0
-        for port in order:
-            queue = in_cols[port]
-            sizes = queue.size
-            dests = queue.dest
-            head = queue.head
-            end = len(sizes)
-            credit = in_credit[port] + port_width
-            if credit > credit_cap:
-                credit = credit_cap
-            while head < end:
-                size = sizes[head]
-                if credit < size:
-                    break
-                dest = dests[head]
-                elapsed = now - out_updated[dest]
-                if elapsed > 0:
-                    budget = out_credit[dest] + elapsed * port_width
-                    if budget > credit_cap:
-                        budget = credit_cap
-                    out_updated[dest] = now
-                else:
-                    budget = out_credit[dest]
-                if budget < size:
-                    out_credit[dest] = budget
-                    break  # output port saturated: head-of-line block
-                out_credit[dest] = budget - size
-                credit -= size
-                item = queue.item[head]
-                head += 1
-                pipe = arrivals.get(dest)
-                if pipe is None:
-                    pipe = deque()
-                    arrivals[dest] = pipe
-                pipe.append((now + latency, item))
-                bytes_moved += size
-                packets_moved += 1
-                if trace:
-                    tracer.emit_hop(now, self.name, port, dest, size, item)
-            if head >= 64 or head == end:
-                del queue.item[:head]
-                del sizes[:head]
-                del dests[:head]
-                end -= head
-                head = 0
-            queue.head = head
-            in_credit[port] = credit
-            if head < end:
                 still_active.append(port)
         self._active = still_active
         self.bytes_transferred += bytes_moved

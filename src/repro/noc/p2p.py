@@ -48,13 +48,6 @@ class PartitionLinks(Component):
             capacity=capacity,
             name=f"{self.name}.rep",
         )
-        #: Captured at sleep time: whether each direction went to sleep
-        #: credit-starved (non-empty ingress).  on_skipped must replay
-        #: busy-cycle/credit accrual for exactly those directions, and
-        #: the ingress state *during* the slept stretch is what counts
-        #: (a push at the wake cycle must not retro-accrue).
-        self._req_accrue = False
-        self._rep_accrue = False
 
     def send_request(self, request: MemoryRequest) -> bool:
         """Queue a request on the SM-to-LLC direction."""
@@ -147,29 +140,14 @@ class PartitionLinks(Component):
         return self.request_link.idle and self.reply_link.idle
 
     def on_sleep(self, now: int) -> None:
-        """Capture per-direction accrual mode, then clamp idle credit.
+        """Clamp both directions' idle credit.
 
-        A direction sleeping with an empty ingress gets the idempotent
-        credit clamp its strict-mode idle ticks would apply; a
-        direction sleeping credit-starved (timed wakeup) instead keeps
-        banking credit, replayed in :meth:`on_skipped`.
+        The links only sleep with empty ingress queues (see
+        :meth:`BandwidthLink.wake_verdict`), so the idempotent clamp
+        their strict-mode idle ticks would apply is all there is.
         """
-        request_link = self.request_link
-        reply_link = self.reply_link
-        self._req_accrue = bool(request_link.input._items)
-        self._rep_accrue = bool(reply_link.input._items)
-        if not self._req_accrue:
-            request_link.quiesce()
-        if not self._rep_accrue:
-            reply_link.quiesce()
-
-    def on_skipped(self, cycles: int) -> None:
-        """Replay busy-cycle/credit accrual for directions that slept
-        with packets queued (see on_sleep)."""
-        if self._req_accrue:
-            self.request_link.accrue_skipped(cycles)
-        if self._rep_accrue:
-            self.reply_link.accrue_skipped(cycles)
+        self.request_link.quiesce()
+        self.reply_link.quiesce()
 
     @property
     def pending(self) -> int:

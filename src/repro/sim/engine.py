@@ -33,7 +33,7 @@ maintains an *activity contract*:
   exactly the visibility order strict mode produces.
 * A component that knows *when* its next real work arrives (a delay
   line matures at ``t+latency``, a DRAM bank is busy until ``t_ready``,
-  a link accrues credit linearly) may return that cycle number from
+  a link's in-flight packet lands) may return that cycle number from
   ``tick``/``idle`` instead of ``True``: a **timed wakeup**.  The
   engine parks the component on a min-heap of deadlines and re-wakes
   it exactly at the deadline cycle, so the component is ticked at the

@@ -2,7 +2,7 @@
 
 The quiescence engine made *idle* cycles nearly free; the caches
 gated here attack the *busy* path instead: per-request Python work
-that dominates saturated NUBA runs.  Seven independent optimisations,
+that dominates saturated NUBA runs.  Four independent optimisations,
 each provably result-neutral (the equivalence arguments live next to
 each implementation and in docs/PERFORMANCE.md):
 
@@ -14,15 +14,8 @@ each implementation and in docs/PERFORMANCE.md):
   freelist recycled at retirement (:mod:`repro.sim.request`).
 * ``route_table`` -- per-frame memoisation of channel/slice/bank
   routing (:mod:`repro.vm.address_map`).
-* ``columnar_llc`` -- struct-of-arrays LMR/RMR/fill queues and access
-  pipeline in the LLC slice, with a flattened batch tick
-  (:mod:`repro.sim.columnar`, :mod:`repro.cache.llc_slice`).
-* ``columnar_mem`` -- the FR-FCFS queue as parallel bank/row columns
-  scanned against bank-state mirrors (:mod:`repro.mem.controller`).
-* ``columnar_xbar`` -- per-port struct-of-arrays input queues routed
-  in one batched credit loop (:mod:`repro.noc.crossbar`).
 
-All seven are on by default.  ``disabled()`` is the debugging escape
+All four are on by default.  ``disabled()`` is the debugging escape
 hatch mirroring ``Simulator(strict=True)``: it turns every flag off
 *and* clears every registered cache so a suspected fast-lane bug can
 be bisected against the plain path.  Equivalence is enforced by
@@ -43,21 +36,15 @@ from typing import Callable, List
 
 
 class FastLaneFlags:
-    """The seven independent fast-lane switches (all default on)."""
+    """The four independent fast-lane switches (all default on)."""
 
-    __slots__ = (
-        "tlb_mru", "intern_bodies", "request_pool", "route_table",
-        "columnar_llc", "columnar_mem", "columnar_xbar",
-    )
+    __slots__ = ("tlb_mru", "intern_bodies", "request_pool", "route_table")
 
     def __init__(self) -> None:
         self.tlb_mru = True
         self.intern_bodies = True
         self.request_pool = True
         self.route_table = True
-        self.columnar_llc = True
-        self.columnar_mem = True
-        self.columnar_xbar = True
 
     def snapshot(self) -> dict:
         """The current flag values as a plain dict."""
@@ -78,9 +65,8 @@ class FastLaneFlags:
 FLAGS = FastLaneFlags()
 
 #: Clearers for every process-wide fast-lane cache (interned bodies,
-#: the request freelist, the columnar live-container registry);
-#: per-object caches (TLB MRU, address-map memos) die with their
-#: owners and need no registration.
+#: the request freelist); per-object caches (TLB MRU, address-map
+#: memos) die with their owners and need no registration.
 _cache_clearers: List[Callable[[], None]] = []
 
 
@@ -106,11 +92,6 @@ HOT_CLASSES = (
     "repro.mem.dram:Bank",
     "repro.vm.tlb:L1TLB",
     "repro.obs.profiler:_TickProxy",
-    "repro.sim.columnar:ColumnarRequestQueue",
-    "repro.sim.columnar:ColumnarFillQueue",
-    "repro.sim.columnar:ColumnarDelayLine",
-    "repro.sim.columnar:ColumnarMemQueue",
-    "repro.sim.columnar:ColumnarPortQueue",
 )
 
 

@@ -128,18 +128,6 @@ class DelayLine(Generic[T]):
             ready.append(items.popleft()[1])
         return ready
 
-    def peek_ready(self, now: int) -> Optional[T]:
-        """The first ready item, if any, without removing it."""
-        if self._items and self._items[0][0] <= now:
-            return self._items[0][1]
-        return None
-
-    def next_ready_cycle(self) -> Optional[int]:
-        """Ready cycle of the head item (None when empty)."""
-        if self._items:
-            return self._items[0][0]
-        return None
-
 
 class BandwidthLink(Generic[T]):
     """A point-to-point link with a byte-per-cycle ceiling and latency.
@@ -231,14 +219,10 @@ class BandwidthLink(Generic[T]):
         refused by the sink retries every cycle; a queued packet
         accrues credit per tick), so the owner must stay awake.
 
-        A credit-starved link (queued packet larger than banked
-        credit) deliberately does NOT sleep on its refill-completion
-        cycle: each strict tick mutates the banked-credit float, so a
-        sleeping link must replay the per-cycle accrual on wake
-        (:meth:`accrue_skipped`) *after* its verdict already replayed
-        it to find the refill cycle -- twice the float work the elided
-        ticks would have done.  Starved means busy; ticking through is
-        both simpler and faster.
+        A link therefore never sleeps with packets queued: each strict
+        tick with a non-empty ingress mutates the banked-credit float.
+        Owners rely on this to apply the idle :meth:`quiesce` clamp
+        unconditionally at sleep.
         """
         in_flight = self._in_flight
         mature = in_flight[0][0] if in_flight else None
@@ -249,26 +233,6 @@ class BandwidthLink(Generic[T]):
         if mature is None:
             return True
         return mature if mature > now + 1 else False
-
-    def accrue_skipped(self, cycles: int) -> None:
-        """Replay ``cycles`` elided busy-waiting ticks.
-
-        Each strict-mode tick with a non-empty ingress counts one busy
-        cycle and accrues one cycle of credit (clamped to the cap)
-        even when nothing can be transferred; a credit-starved owner
-        that slept through such ticks reports them here.  The loop
-        mirrors ``tick``'s per-cycle add-then-clamp so the resulting
-        float is bit-identical to strict mode's.
-        """
-        self.busy_cycles += cycles
-        credit = self._credit
-        width = self.width_bytes
-        cap = self._credit_cap
-        for _ in range(cycles):
-            credit += width
-            if credit > cap:
-                credit = cap
-        self._credit = credit
 
     def tick(self, now: int) -> None:
         """Advance the link by one cycle: earn credit, launch packets and

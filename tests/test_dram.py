@@ -164,15 +164,7 @@ class TestMemoryController:
 class TestSchedulingWindow:
     """The FR-FCFS window is configurable (``MemoryConfig.sched_window``):
     a window of 1 degenerates to plain FCFS, a wide window recovers the
-    row-hit preference -- on both the object and columnar schedulers."""
-
-    @pytest.fixture(params=[True, False], ids=["columnar", "object"])
-    def columnar_mem(self, request):
-        from repro.sim import fastlane
-        saved = fastlane.FLAGS.snapshot()
-        fastlane.FLAGS.columnar_mem = request.param
-        yield request.param
-        fastlane.FLAGS.restore(saved)
+    row-hit preference."""
 
     def _controller(self, window):
         config = MemoryConfig(
@@ -192,7 +184,7 @@ class TestSchedulingWindow:
         )
         return mc, fills
 
-    def test_window_one_degenerates_to_fcfs(self, columnar_mem):
+    def test_window_one_degenerates_to_fcfs(self):
         mc, fills = self._controller(window=1)
         opener = _read(0)          # bank 0, row 0
         mc.enqueue(opener)
@@ -206,7 +198,7 @@ class TestSchedulingWindow:
         # wins even though a row hit waits one slot behind.
         assert fills.index(conflict) < fills.index(row_hit)
 
-    def test_wide_window_prefers_row_hits(self, columnar_mem):
+    def test_wide_window_prefers_row_hits(self):
         mc, fills = self._controller(window=16)
         opener = _read(0)
         mc.enqueue(opener)
@@ -229,7 +221,7 @@ class TestSchedulingWindow:
         assert len(fills) == 8
         return mc.row_hit_rate
 
-    def test_wide_window_recovers_row_hit_rate(self, columnar_mem):
+    def test_wide_window_recovers_row_hit_rate(self):
         fcfs_rate = self._alternating_row_hit_rate(window=1)
         wide_rate = self._alternating_row_hit_rate(window=16)
         # FCFS ping-pongs between the two rows (every access a

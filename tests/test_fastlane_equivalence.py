@@ -95,8 +95,6 @@ def test_fast_lane_is_bit_identical_to_plain_path(key: RunKey) -> None:
     assert fastlane.FLAGS.snapshot() == {
         "tlb_mru": True, "intern_bodies": True,
         "request_pool": True, "route_table": True,
-        "columnar_llc": True, "columnar_mem": True,
-        "columnar_xbar": True,
     }
     fast = _run(key, strict=False)
     with fastlane.disabled():

@@ -31,10 +31,7 @@ from repro.workloads.suite import get_benchmark
 KEY = RunKey("KMEANS", Architecture.NUBA,
              replication=ReplicationPolicy.MDR)
 
-FLAG_NAMES = (
-    "tlb_mru", "intern_bodies", "request_pool", "route_table",
-    "columnar_llc", "columnar_mem", "columnar_xbar",
-)
+FLAG_NAMES = ("tlb_mru", "intern_bodies", "request_pool", "route_table")
 
 
 def _run_point():
@@ -105,39 +102,6 @@ class TestResetEmptiesCaches:
         system.address_map.flush_routes()
         assert not system.address_map._route_cache
         assert not system.address_map._bank_cache
-
-    def test_columnar_arrays_populated_then_reset_empties(
-            self, restored_flags):
-        """The columnar live-container registry holds real in-flight
-        state mid-run, and ``reset()`` verifiably empties it."""
-        from repro.sim import columnar
-
-        fastlane.FLAGS.set_all(True)
-        request_mod._req_ids = itertools.count()
-        fastlane.reset()
-        assert not columnar.live_containers()
-        runner = ExperimentRunner(
-            base_gpu=small_config(num_channels=2), strict=False,
-        )
-        system = runner.build(KEY)
-        containers = columnar.live_containers()
-        assert containers, "building a system registered no columnar state"
-        # Queues drain by the end of the run, so occupancy must be
-        # sampled mid-run (same reasoning as the TLB MRU above).
-        populated = []
-        system.sim.every(100, lambda cycle: populated.append(True) if any(
-            len(c) for c in columnar.live_containers()) else None)
-        workload = get_benchmark(KEY.benchmark).instantiate(system.gpu)
-        system.run_workload(workload, max_cycles=runner.max_cycles)
-        assert populated, "columnar arrays never held in-flight requests"
-
-        fastlane.reset()
-        # Every registered container was cleared and the (weak)
-        # registry emptied -- disabled() can never observe stale
-        # columnar state through a leaked reference.
-        for container in containers:
-            assert len(container) == 0
-        assert not columnar.live_containers()
 
     def test_reset_is_idempotent(self, restored_flags):
         fastlane.reset()

@@ -235,34 +235,6 @@ class TestTimedWakeChecker:
         result = _lint("src/repro/sim/fx.py", source, [WakeSiteChecker()])
         assert "W003" not in _rules(result)
 
-    def test_columnar_tick_shadow_is_scanned(self):
-        # `self.tick = self._tick_columnar` in __init__ makes the
-        # shadow method part of the timed-deadline scan.
-        source = """
-            from repro.sim.engine import Component
-            from repro.sim.queues import BoundedQueue
-
-            class Timed(Component):
-                def __init__(self):
-                    super().__init__("t")
-                    self.inbox = BoundedQueue(4, name="in")
-                    self._busy_until = 0
-                    self.tick = self._tick_columnar
-
-                def deliver(self, item):
-                    ok = self.inbox.push(item)
-                    if not ok:
-                        return False
-                    self.wake()
-                    return True
-
-                def _tick_columnar(self, now):
-                    deadline = self._busy_until
-                    return deadline if deadline > now + 1 else False
-        """
-        result = _lint("src/repro/sim/fx.py", source, [WakeSiteChecker()])
-        assert "W003" in _rules(result)
-
 
 # ---------------------------------------------------------------------------
 # Fastlane discipline (F001/F002) fixtures
@@ -327,38 +299,37 @@ class TestFastlaneChecker:
         result = _lint("src/repro/vm/fx.py", source, [FastlaneChecker()])
         assert _rules(result) == []
 
-    def test_unregistered_columnar_memo_is_f002(self):
-        """A columnar-style live-container registry (module-level list
-        populated under a ``columnar_*`` flag) must register a clearer
-        -- the shape of ``repro.sim.columnar._live`` minus its
-        ``@fastlane.register_cache`` hook."""
+    def test_unregistered_list_memo_is_f002(self):
+        """A module-level list populated under a flag (a freelist) must
+        register a clearer -- the shape of ``repro.sim.request._pool``
+        minus its ``@fastlane.register_cache`` hook."""
         source = """
             from repro.sim import fastlane
 
-            _live = []
+            _pool = []
 
-            def track(container):
-                if fastlane.FLAGS.columnar_llc:
-                    _live.append(container)
-                return container
+            def retire(request):
+                if fastlane.FLAGS.request_pool:
+                    _pool.append(request)
+                return request
         """
         result = _lint("src/repro/sim/fx.py", source, [FastlaneChecker()])
         assert "F002" in _rules(result)
 
-    def test_registered_columnar_memo_is_clean(self):
+    def test_registered_list_memo_is_clean(self):
         source = """
             from repro.sim import fastlane
 
-            _live = []
+            _pool = []
 
-            def track(container):
-                if fastlane.FLAGS.columnar_llc:
-                    _live.append(container)
-                return container
+            def retire(request):
+                if fastlane.FLAGS.request_pool:
+                    _pool.append(request)
+                return request
 
             @fastlane.register_cache
-            def _clear_live():
-                _live.clear()
+            def _clear_pool():
+                _pool.clear()
         """
         result = _lint("src/repro/sim/fx.py", source, [FastlaneChecker()])
         assert _rules(result) == []

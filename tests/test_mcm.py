@@ -126,12 +126,25 @@ class TestEgressLinks:
         class Req:
             request_bytes = 8
 
+        def sink(r):
+            delivered.append(r)
+            return True
+
         request = Req()
-        assert links.send(0, request, 8,
-                          lambda r: (delivered.append(r), True)[1])
+        assert links.send(0, request, 8, sink)
+        # Wider than a cycle of link credit (~32 B): it waits several
+        # cycles for credit, and the links must stay awake meanwhile --
+        # they only sleep with an empty ingress.
+        wide = Req()
+        assert links.send(0, wide, 136, sink)
+        waited = 0
         for cycle in range(40):
-            links.tick(cycle)
-        assert delivered == [request]
+            verdict = links.tick(cycle)
+            if links.links[0].input:
+                assert verdict is False, cycle
+                waited += 1
+        assert waited >= 3
+        assert delivered == [request, wide]
 
     def test_pending_counts(self):
         links = ModuleEgressLinks(2, MCM)

@@ -39,11 +39,15 @@ class TestPartitionLinks:
         assert links.request_link.width_bytes == pytest.approx(62.5)
 
     def test_reply_serialisation(self):
-        """A 136 B reply needs three cycles of credit at 62.5 B/cycle."""
+        """A 136 B reply needs three cycles of credit at 62.5 B/cycle.
+
+        The links never report sleep while it waits for credit: a link
+        only sleeps with an empty ingress, which is what lets
+        ``on_sleep`` clamp idle credit unconditionally."""
         links, _, replies = _links(latency=0)
         links.send_reply(_load())
-        links.tick(0)
-        links.tick(1)
+        assert links.tick(0) is False
+        assert links.tick(1) is False
         assert replies == []
         links.tick(2)
         links.tick(3)
