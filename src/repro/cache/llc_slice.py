@@ -156,7 +156,7 @@ class LLCSlice(Component):
     def tick(self, now: int) -> object:
         # The deque objects are stable (mutated in place), so the
         # hoisted locals stay valid across the drain/arbitrate calls
-        # and the idle verdict reads them instead of re-walking the
+        # and the activity verdict reads them instead of re-walking the
         # attribute chains.
         retry_replies = self._retry_replies
         retry_misses = self._retry_misses
@@ -175,30 +175,15 @@ class LLCSlice(Component):
         # with nothing else pending matures at a known cycle (the
         # delivery sweep above guarantees remaining heads are in the
         # future), so the slice sleeps until then -- any ingress push
-        # (request, fill, invalidate) wakes it early.
+        # (request, fill, invalidate) wakes it early.  Outstanding MSHR
+        # entries alone do not keep it awake: misses in flight need no
+        # tick until their fill arrives.
         if (lmr_items or rmr_items or fill_items
                 or retry_replies or retry_misses):
             return False
         if pipeline:
-            deadline = pipeline[0][0]
-            return deadline if deadline > now + 1 else False
+            return pipeline[0][0]
         return True
-
-    # -- activity contract ---------------------------------------------
-
-    def idle(self, now: int) -> bool:
-        """No queued work anywhere in the slice.
-
-        Outstanding MSHR entries alone do not keep the slice awake: a
-        slice whose only state is misses-in-flight does nothing until
-        the fill arrives (:meth:`fill` wakes it). Queued requests,
-        pipelined results and blocked retries all need per-cycle ticks.
-        """
-        return not (
-            self.lmr._items or self.rmr._items or self.fill_queue._items
-            or self._pipeline._items
-            or self._retry_replies or self._retry_misses
-        )
 
     def _drain_retries(self) -> None:
         while self._retry_replies:

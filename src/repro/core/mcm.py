@@ -72,33 +72,16 @@ class ModuleEgressLinks(Component):
             after += link.packets_transferred
         if after != moved:
             return False
-        gated = now < self._no_sleep_until
         verdict: object = True
         for link in self.links:
             if not link.input._items and not link._in_flight:
                 continue
-            if gated:
-                return False  # anti-churn window: timed verdict discarded
             link_verdict = link.wake_verdict(now)
             if link_verdict is False:
                 return False
             if verdict is True or link_verdict < verdict:
                 verdict = link_verdict
         return verdict
-
-    # -- activity contract ---------------------------------------------
-
-    def idle(self, now: int) -> bool:
-        """Every module's egress link is drained."""
-        for link in self.links:
-            if not link.idle:
-                return False
-        return True
-
-    def on_sleep(self, now: int) -> None:
-        """Clamp every link's idle credit (see PartitionLinks.on_sleep)."""
-        for link in self.links:
-            link.quiesce()
 
     @property
     def pending(self) -> int:

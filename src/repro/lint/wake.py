@@ -53,8 +53,7 @@ PUSH_METHODS = {"push", "append", "appendleft", "extend", "push_front"}
 #: Engine activity-contract methods: called by the simulator itself, on
 #: an already-awake component (tick) or as lifecycle hooks -- pushes
 #: here cannot lose a wakeup.
-CONTRACT_METHODS = {"tick", "idle", "wake", "on_sleep", "on_skipped",
-                    "__init__", "__repr__"}
+CONTRACT_METHODS = {"tick", "wake", "on_skipped", "__init__", "__repr__"}
 
 #: Queue-internal accessors that inlined hot paths reach through
 #: (``self.lmr._items.append``, ``link.input`` ...).
@@ -156,8 +155,7 @@ def _expr_possibly_timed(expr: ast.expr) -> bool:
     Conservative shape test: names and arithmetic may carry a cycle
     number; ``not``/comparison/bool-op/call results and bool/None
     constants cannot.  Conditional expressions are timed when either
-    branch is (the ``deadline if deadline > now + 1 else False``
-    idiom).
+    branch is (the ``a if a < b else b`` minimum of two deadlines).
     """
     if isinstance(expr, ast.IfExp):
         return (_expr_possibly_timed(expr.body)
@@ -284,9 +282,9 @@ class WakeSiteChecker(Checker):
                      "push (see docs/LINT.md#wake-site)",
             ))
         # W003: per-push-site reachability for timed sleepers.  A
-        # component whose tick returns int deadlines depends on wake()
-        # cancelling them (via the wake epoch); an uncovered push site
-        # leaves the engine honouring a stale deadline.
+        # component whose tick returns int deadlines sleeps until the
+        # deadline unless wake() runs; an uncovered push site leaves
+        # the work waiting on that deadline.
         if timed:
             for push in pushes:
                 if not _wake_reachable_from(push, func):

@@ -74,10 +74,6 @@ class MemoryController(Component):
     # Ingress.
     # ------------------------------------------------------------------
 
-    @property
-    def full(self) -> bool:
-        return len(self._queue) >= self.queue_capacity
-
     def enqueue(self, request: MemoryRequest) -> bool:
         """Accept a demand request or writeback; False when full."""
         if len(self._queue) >= self.queue_capacity:
@@ -124,8 +120,6 @@ class MemoryController(Component):
             if queue:
                 if len(queue) < occupancy or self._retry_fills:
                     return False  # issued (or retrying): stay awake
-                if now < self._no_sleep_until:
-                    return False  # anti-churn window: skip the scan
                 # Stalled scan: every bank in the FR-FCFS window is
                 # busy past `now` (anything ready would have issued),
                 # so the next issue opportunity is the earliest of
@@ -145,26 +139,16 @@ class MemoryController(Component):
                 completions = self._completions
                 if completions and completions[0][0] < deadline:
                     deadline = completions[0][0]
-                return deadline if deadline > now + 1 else False
+                return deadline
         if self._retry_fills:
             return False  # blocked fill: retry the sink every cycle
         completions = self._completions
         if completions:
-            deadline = completions[0][0]
-            return deadline if deadline > now + 1 else False
+            return completions[0][0]
+        # Drained: bank and bus timing compare against absolute cycles
+        # when the next request arrives (enqueue wakes us), so sleeping
+        # any length of time is invisible.
         return True
-
-    # -- activity contract ---------------------------------------------
-
-    def idle(self, now: int) -> bool:
-        """Nothing queued, completing or retrying.
-
-        Bank/bus timing state needs no ticks on its own: ``Bank.ready``
-        and the bus reservation are compared against absolute cycles
-        when the next request arrives (:meth:`enqueue` wakes us), so a
-        drained controller behaves identically however long it sleeps.
-        """
-        return not (self._queue or self._completions or self._retry_fills)
 
     def _deliver(self, now: int) -> None:
         while self._retry_fills:

@@ -112,18 +112,7 @@ class Crossbar(Component):
         if not arrivals:
             return True
         deadline = min(pipe[0][0] for pipe in arrivals.values())
-        return deadline if deadline > now + 1 else False
-
-    # -- activity contract ---------------------------------------------
-
-    def idle(self, now: int) -> bool:
-        """No queued packets and nothing in the arrival pipelines.
-
-        Port credit is accrued lazily against absolute cycles
-        (``_out_updated`` timestamps), so an empty crossbar's tick
-        mutates nothing and skipping it is invisible.
-        """
-        return not self._arrivals and not self._active
+        return deadline
 
     def _deliver(self, now: int) -> None:
         for dest in list(self._arrivals):

@@ -119,8 +119,6 @@ class PartitionLinks(Component):
             or reply_link._in_flight
         ):
             return True
-        if now < self._no_sleep_until:
-            return False  # anti-churn window: timed verdict discarded
         req_verdict = request_link.wake_verdict(now)
         if req_verdict is False:
             return False
@@ -132,22 +130,6 @@ class PartitionLinks(Component):
         if rep_verdict is True:
             return req_verdict
         return req_verdict if req_verdict < rep_verdict else rep_verdict
-
-    # -- activity contract ---------------------------------------------
-
-    def idle(self, now: int) -> bool:
-        """Both directions drained (nothing queued or in flight)."""
-        return self.request_link.idle and self.reply_link.idle
-
-    def on_sleep(self, now: int) -> None:
-        """Clamp both directions' idle credit.
-
-        The links only sleep with empty ingress queues (see
-        :meth:`BandwidthLink.wake_verdict`), so the idempotent clamp
-        their strict-mode idle ticks would apply is all there is.
-        """
-        self.request_link.quiesce()
-        self.reply_link.quiesce()
 
     @property
     def pending(self) -> int:

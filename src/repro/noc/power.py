@@ -95,18 +95,24 @@ class NoCEnergyAccount:
         """Track a point-to-point link group's traffic."""
         self._p2p_bytes[name] = bytes_getter
 
+    # Both totals add left to right on purpose: from Python 3.12 the
+    # builtin ``sum`` of floats is compensated, which moves the last
+    # bit of some totals and would make pinned results depend on the
+    # interpreter version.
+
     def crossbar_energy(self, cycles: int) -> float:
         """Total crossbar energy over a run."""
-        return sum(
-            model.energy(cycles, getter())
-            for model, getter in self._crossbars.values()
-        )
+        total = 0.0
+        for model, getter in self._crossbars.values():
+            total += model.energy(cycles, getter())
+        return total
 
     def p2p_energy(self) -> float:
         """Total point-to-point link energy."""
-        return sum(
-            K_P2P_DYNAMIC * getter() for getter in self._p2p_bytes.values()
-        )
+        total = 0.0
+        for getter in self._p2p_bytes.values():
+            total += K_P2P_DYNAMIC * getter()
+        return total
 
     def total_energy(self, cycles: int) -> float:
         """All NoC energy (crossbars + links) over a run."""

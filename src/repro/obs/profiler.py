@@ -30,10 +30,10 @@ class _TickProxy:
     """Stand-in that times one component's ``tick`` calls.
 
     The proxy is transparent to the engine's activity contract: the
-    awake flag and idle bookkeeping live on the wrapped component
+    awake flag and sleep bookkeeping live on the wrapped component
     (ingress ``wake()`` calls land there, since routing sinks hold
-    references to the real component), so ``_awake``/``_idle_since``
-    delegate, and ``idle``/``on_sleep``/``on_skipped`` forward.  A
+    references to the real component), so ``_awake``/``_idle_since``/
+    ``_wake_at`` delegate, and ``wake``/``on_skipped`` forward.  A
     profiled run therefore skips exactly the ticks an unprofiled run
     would -- profiling no longer forces every component back onto the
     hot path -- and the proxy counts the skips it is told about.
@@ -80,28 +80,12 @@ class _TickProxy:
         self.inner._idle_since = value
 
     @property
-    def _wake_epoch(self) -> int:
-        return self.inner._wake_epoch
+    def _wake_at(self) -> float:
+        return self.inner._wake_at
 
-    @_wake_epoch.setter
-    def _wake_epoch(self, value: int) -> None:
-        self.inner._wake_epoch = value
-
-    @property
-    def _no_sleep_until(self) -> int:
-        return self.inner._no_sleep_until
-
-    @_no_sleep_until.setter
-    def _no_sleep_until(self, value: int) -> None:
-        self.inner._no_sleep_until = value
-
-    @property
-    def _slept_at(self) -> int:
-        return self.inner._slept_at
-
-    @_slept_at.setter
-    def _slept_at(self, value: int) -> None:
-        self.inner._slept_at = value
+    @_wake_at.setter
+    def _wake_at(self, value: float) -> None:
+        self.inner._wake_at = value
 
     @property
     def tracer(self):
@@ -111,14 +95,8 @@ class _TickProxy:
     def tracer(self, value) -> None:
         self.inner.tracer = value
 
-    def idle(self, now: int) -> bool:
-        return self.inner.idle(now)
-
     def wake(self) -> None:
         self.inner.wake()
-
-    def on_sleep(self, now: int) -> None:
-        self.inner.on_sleep(now)
 
     def on_skipped(self, cycles: int) -> None:
         self.skipped += cycles

@@ -22,10 +22,10 @@ all waiting on memory, LLC slices with empty queues, links with nothing
 in flight. Ticking them anyway is pure Python overhead, so the engine
 maintains an *activity contract*:
 
-* After a component ticks, the engine asks :meth:`Component.idle`.  A
-  ``True`` answer is a promise that every future ``tick`` would be a
-  no-op until an *external* event arrives; the engine then stops
-  ticking the component.
+* Every ``tick`` returns the component's activity verdict.  ``True``
+  is a promise that every future ``tick`` would be a no-op until an
+  *external* event arrives; the engine then stops ticking the
+  component.  ``False`` (or ``None``) keeps it awake.
 * External events (a request pushed into an ingress queue, a reply
   delivered, a kernel launched) call :meth:`Component.wake`, which puts
   the component back on the active list.  A component woken before its
@@ -33,15 +33,16 @@ maintains an *activity contract*:
   exactly the visibility order strict mode produces.
 * A component that knows *when* its next real work arrives (a delay
   line matures at ``t+latency``, a DRAM bank is busy until ``t_ready``,
-  a link's in-flight packet lands) may return that cycle number from
-  ``tick``/``idle`` instead of ``True``: a **timed wakeup**.  The
-  engine parks the component on a min-heap of deadlines and re-wakes
-  it exactly at the deadline cycle, so the component is ticked at the
-  first cycle a strict-mode tick would have done real work.  An
-  ingress ``wake()`` before the deadline cancels it lazily: each
-  component carries a wake epoch, bumped on every wakeup, and popped
-  heap entries whose recorded epoch is stale are discarded (no heap
-  surgery on the hot path).
+  a link's in-flight packet lands) returns that cycle number instead
+  of ``True``: a **timed wakeup**.  The engine parks the component on
+  a min-heap of deadlines and re-wakes it at the deadline cycle, so
+  the component is ticked at the first cycle a strict-mode tick would
+  have done real work.  Each component keeps at most one live heap
+  entry, at the earliest deadline it asked for (``_wake_at``); a later
+  verdict adds nothing, and a popped entry that no longer matches
+  ``_wake_at`` is dropped.  An ingress ``wake()`` leaves the entry in
+  place, so it can cause one early tick -- and an early tick is the
+  tick strict mode runs at that cycle, so results stay identical.
 * Components whose skipped ticks would have advanced per-cycle
   counters (an SM counts stall cycles even when fully blocked)
   implement :meth:`Component.on_skipped`; the engine reports the exact
@@ -78,20 +79,22 @@ from repro.sim.stats import StatsRegistry
 _NEVER = float("inf")
 
 #: Shortest deadline horizon worth a timed sleep, in cycles from now.
-#: A sleep/wake round trip (heap entry, on_sleep, on_skipped replay)
-#: costs more host time than a couple of near-no-op ticks, so verdicts
-#: due sooner than this keep the component awake.  Purely a host-speed
-#: knob: staying awake is always result-identical.
+#: A sleep/wake round trip (heap entry, on_skipped replay) costs more
+#: host time than a couple of near-no-op ticks, so verdicts due sooner
+#: than this keep the component awake.  Components return their raw
+#: next-event cycle and leave this floor to the engine.  Purely a
+#: host-speed knob: staying awake is always result-identical.
 _MIN_TIMED_SLEEP = 2
 
 
 class Component:
     """Base class for everything that does per-cycle work.
 
-    Subclasses that want to benefit from quiescence skipping override
-    :meth:`idle` (and :meth:`on_skipped` / :meth:`on_sleep` when their
-    strict-mode tick mutates state even while quiescent).  The default
-    contract -- never idle -- keeps arbitrary components correct.
+    The activity contract is three methods: :meth:`tick` returns the
+    verdict, :meth:`wake` re-activates after an external event, and
+    :meth:`on_skipped` reproduces per-cycle counters of elided ticks.
+    A ``tick`` that returns nothing never sleeps, which keeps arbitrary
+    components correct.
     """
 
     #: Shared disabled tracer; replaced per instance when a run is
@@ -107,24 +110,10 @@ class Component:
         #: First cycle this component did not tick (-1 = none pending);
         #: the engine uses it to report exact skip counts.
         self._idle_since = -1
-        #: Wake generation counter for timed wakeups: bumped on every
-        #: transition back to awake, so deadline heap entries recorded
-        #: under an older epoch are recognised as stale when popped
-        #: (lazy cancellation -- no heap surgery on ``wake``).
-        self._wake_epoch = 0
-        #: Anti-churn gate: timed sleeps are suppressed until this
-        #: cycle.  Set by :meth:`wake` when it cancels a sleep that
-        #: barely got started -- under saturation a component's
-        #: deadline sleep is often voided by an ingress push a cycle
-        #: later, and the sleep/wake/replay round trip then costs more
-        #: than the ticks it elides.  Staying awake is always safe
-        #: (ticking IS the strict schedule), so this affects speed
-        #: only, never results.
-        self._no_sleep_until = 0
-        #: Cycle of the last transition to sleep (wake() compares it
-        #: against the clock to spot cancelled-immediately sleeps;
-        #: unlike ``_idle_since`` it is not advanced by fast-forward).
-        self._slept_at = -(1 << 30)
+        #: Deadline of this component's live timed-wakeup heap entry
+        #: (``_NEVER`` = none).  Heap entries at any other deadline are
+        #: stale and dropped when popped.
+        self._wake_at = _NEVER
         #: Pre-created per instance (shadowing the class default) so
         #: :meth:`~repro.obs.tracer.Tracer.bind` replaces an existing
         #: ``__dict__`` key instead of growing the dict of every hot
@@ -133,64 +122,38 @@ class Component:
         self.tracer = NULL_TRACER
 
     def tick(self, now: int) -> object:
-        """Advance this component by one cycle.
+        """Advance this component by one cycle; return its verdict.
 
-        May return the :meth:`idle` verdict for this cycle (``True`` /
-        ``False``) to spare the engine the separate ``idle`` call --
-        hot components compute it from locals they already hold at the
-        end of their tick.  Returning ``None`` (the default) makes the
-        engine call :meth:`idle` as usual; the two forms must agree.
+        * ``False`` or ``None``: stay awake (tick again next cycle).
+        * ``True``: every future ``tick`` is a no-op until an external
+          event calls :meth:`wake`.
+        * an int cycle X: "asleep until cycle X" -- every elided tick
+          strictly before X is a no-op, and the engine ticks the
+          component at X at the latest.
 
-        A component whose next cycle of real work is *known* may
-        return that cycle number (an int ``> now + 1``) instead of
-        ``True``: "asleep until cycle X".  The promise is the timed
-        variant of :meth:`idle`'s -- every elided tick strictly before
-        X must be a no-op (or reproduced by :meth:`on_skipped`), and
-        the engine guarantees a tick at X unless an earlier ``wake()``
-        re-activates the component first.  Note ``True == 1`` in
-        Python: the engine distinguishes the two with identity checks,
-        so a deadline of literal cycle 1 is never misread (deadlines
-        are ``> now + 1`` anyway).
+        Hot components compute the verdict from locals they already
+        hold at the end of their tick.  The promise must hold
+        *exactly*: a component whose strict-mode tick would mutate any
+        state (even a counter) while asleep must either stay awake or
+        reproduce the mutation in :meth:`on_skipped`.  A tick earlier
+        than promised is always safe -- it is the tick strict mode
+        runs at that cycle.  Deadlines due within
+        ``_MIN_TIMED_SLEEP`` cycles keep the component awake.  Note
+        ``True == 1`` in Python: the engine distinguishes the two with
+        an identity check, and a deadline of literal cycle 1 is due
+        within the floor anyway.
         """
         raise NotImplementedError
 
     # -- activity contract --------------------------------------------
 
-    def idle(self, now: int) -> object:
-        """True when every future ``tick`` is a no-op until an external
-        event calls :meth:`wake`.  Evaluated right after ``tick(now)``.
-
-        The promise must hold *exactly*: a component whose strict-mode
-        tick would mutate any state (even a counter) while "idle" must
-        either return False or reproduce the mutation in
-        :meth:`on_skipped`.  Like :meth:`tick`, may return a deadline
-        cycle instead of ``True`` (see the timed-wakeup contract
-        there).
-        """
-        return False
-
     def wake(self) -> None:
-        """Re-activate after an external event (idempotent, cheap).
-
-        Bumping the wake epoch invalidates any pending timed-wakeup
-        heap entry for this component (recorded under the old epoch).
-        """
+        """Re-activate after an external event (idempotent, cheap)."""
         if not self._awake:
             self._awake = True
-            self._wake_epoch += 1
             sim = self._sim
             if sim is not None:
                 sim._n_asleep -= 1
-                # A sleep cancelled within a few cycles elided
-                # (almost) nothing; back off from timed sleeps for a
-                # while.
-                if sim.cycle - self._slept_at < 4:
-                    self._no_sleep_until = sim.cycle + 64
-
-    def on_sleep(self, now: int) -> None:
-        """Hook invoked once when the engine stops ticking this
-        component; apply any idempotent per-idle-cycle state transition
-        here (e.g. a bandwidth link's credit clamp)."""
 
     def on_skipped(self, cycles: int) -> None:
         """Account ``cycles`` skipped ticks.
@@ -232,13 +195,13 @@ class Simulator:
         #: Earliest pending hook fire (cached so the hot loop checks
         #: one number instead of scanning the hook list every cycle).
         self._next_hook = _NEVER
-        #: Timed-wakeup min-heap of (deadline, seq, component, epoch).
-        #: The seq tiebreaker keeps tuples comparable; the epoch makes
-        #: entries self-invalidating (see Component._wake_epoch).
+        #: Timed-wakeup min-heap of (deadline, seq, component); the seq
+        #: tiebreaker keeps tuples comparable.  At most one entry per
+        #: component is live (see Component._wake_at).
         self._wakeups: List[tuple] = []
         self._wakeup_seq = 0
         #: Earliest pending deadline (cached like _next_hook; may be
-        #: stale-early when the heap top is a cancelled entry, which
+        #: stale-early when the heap top is a dropped entry, which
         #: only costs a harmless extra _wake_due sweep).
         self._next_wakeup = _NEVER
 
@@ -298,32 +261,25 @@ class Simulator:
                             component.on_skipped(now - since)
                         component._idle_since = -1
                     asleep = component.tick(now)
-                    if asleep is None:
-                        asleep = component.idle(now)
                     if asleep:
                         if asleep is not True:
                             # Timed wakeup: an int deadline ("asleep
                             # until cycle X").  Near-due verdicts gain
-                            # nothing over staying awake, and a
-                            # component in its anti-churn window (see
-                            # Component.wake) keeps ticking.
+                            # nothing over staying awake; a deadline
+                            # no earlier than the live entry rides on
+                            # it (one early tick at worst).
                             if asleep - now < _MIN_TIMED_SLEEP:
                                 continue
-                            if now < component._no_sleep_until:
-                                continue
-                            seq = self._wakeup_seq + 1
-                            self._wakeup_seq = seq
-                            heappush(
-                                self._wakeups,
-                                (asleep, seq, component,
-                                 component._wake_epoch),
-                            )
-                            if asleep < self._next_wakeup:
-                                self._next_wakeup = asleep
+                            if asleep < component._wake_at:
+                                component._wake_at = asleep
+                                seq = self._wakeup_seq + 1
+                                self._wakeup_seq = seq
+                                heappush(self._wakeups,
+                                         (asleep, seq, component))
+                                if asleep < self._next_wakeup:
+                                    self._next_wakeup = asleep
                         component._awake = False
                         component._idle_since = now + 1
-                        component._slept_at = now
-                        component.on_sleep(now)
                         n_slept += 1
             if n_slept:
                 self._n_asleep += n_slept
@@ -334,23 +290,23 @@ class Simulator:
     def _wake_due(self, now: int) -> None:
         """Re-activate every component whose deadline has arrived.
 
-        Pops due heap entries; an entry is live only while its recorded
-        epoch matches the component's current wake epoch *and* the
-        component is still asleep -- anything else is a cancelled
-        deadline left behind by an earlier ingress ``wake()``.  Skip
-        accounting is NOT flushed here: the woken component flows
+        Pops due heap entries; an entry is live only while its deadline
+        matches the component's ``_wake_at`` -- anything else was
+        superseded by an earlier deadline.  A live entry clears
+        ``_wake_at`` and wakes the component if it is still asleep.
+        Skip accounting is NOT flushed here: the woken component flows
         through the normal ``step`` path, which reports the exact
         elided-tick count via ``on_skipped`` before the next tick.
         """
         heap = self._wakeups
         n_woken = 0
         while heap and heap[0][0] <= now:
-            entry = heappop(heap)
-            component = entry[2]
-            if component._wake_epoch == entry[3] and not component._awake:
-                component._awake = True
-                component._wake_epoch = entry[3] + 1
-                n_woken += 1
+            deadline, _, component = heappop(heap)
+            if component._wake_at == deadline:
+                component._wake_at = _NEVER
+                if not component._awake:
+                    component._awake = True
+                    n_woken += 1
         if n_woken:
             self._n_asleep -= n_woken
         self._next_wakeup = heap[0][0] if heap else _NEVER

@@ -55,10 +55,6 @@ class BoundedQueue(Generic[T]):
     def full(self) -> bool:
         return len(self._items) >= self.capacity
 
-    @property
-    def free_slots(self) -> int:
-        return self.capacity - len(self._items)
-
     def push(self, item: T) -> bool:
         """Append an item; False when the queue is full."""
         items = self._items
@@ -191,24 +187,6 @@ class BandwidthLink(Generic[T]):
     def pending(self) -> int:
         return len(self.input) + len(self._in_flight)
 
-    @property
-    def idle(self) -> bool:
-        """True when a tick would be a no-op: nothing queued or in
-        flight. A quiescing owner must also call :meth:`quiesce` to
-        reproduce the per-idle-cycle credit clamp."""
-        return not self.input._items and not self._in_flight
-
-    def quiesce(self) -> None:
-        """Apply the idle-cycle credit clamp once.
-
-        A strict-mode tick with an empty ingress clamps banked credit to
-        one cycle's width every cycle; the clamp is idempotent, so a
-        component that stops ticking an idle link calls this once at
-        sleep time to leave the credit bit-identical to strict mode.
-        """
-        if self._credit > self.width_bytes:
-            self._credit = self.width_bytes
-
     def wake_verdict(self, now: int) -> object:
         """Post-tick activity verdict under the timed-wakeup contract.
 
@@ -221,8 +199,10 @@ class BandwidthLink(Generic[T]):
 
         A link therefore never sleeps with packets queued: each strict
         tick with a non-empty ingress mutates the banked-credit float.
-        Owners rely on this to apply the idle :meth:`quiesce` clamp
-        unconditionally at sleep.
+        The tick that produced a sleep verdict ran with an empty
+        ingress, so it already applied the idle credit clamp; the
+        clamp is idempotent, so the elided ticks would not change the
+        credit again.
         """
         in_flight = self._in_flight
         mature = in_flight[0][0] if in_flight else None
@@ -232,7 +212,7 @@ class BandwidthLink(Generic[T]):
             return False  # credit-starved: accrual ticks every cycle
         if mature is None:
             return True
-        return mature if mature > now + 1 else False
+        return mature
 
     def tick(self, now: int) -> None:
         """Advance the link by one cycle: earn credit, launch packets and

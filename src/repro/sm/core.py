@@ -194,7 +194,7 @@ class SMCore(Component):
 
     def tick(self, now: int) -> object:
         if now < self._launch_at:
-            return None
+            return False  # must observe its staggered launch cycle
         if self._replies._items:
             self._drain_replies(now)
         hit_returns = self._hit_returns._items
@@ -226,15 +226,6 @@ class SMCore(Component):
         # stall/idle cycles, reproduced exactly in on_skipped.
         if issued:
             return False
-        if now < self._no_sleep_until:
-            # Anti-churn window: a timed verdict would be discarded, so
-            # fall back to the binary one -- cheap pre-filter, full
-            # idle scan only when every queue is drained (an untimed
-            # sleep is still allowed and still profitable here).
-            if (self._lsu or self._replies._items or self._out._items
-                    or self._hit_returns._items):
-                return False
-            return self.idle(now)
         if self._replies._items or self._out._items:
             return False
         deadline = -1
@@ -250,12 +241,9 @@ class SMCore(Component):
             if deadline < 0 or at < deadline:
                 deadline = at
         next_ready = self._next_self_ready
-        if next_ready > now + 1:
-            # No warp can self-advance before the watermark (every
-            # ready_at assignment lowers it), so skip the warp scan.
-            if deadline < 0 or next_ready < deadline:
-                deadline = next_ready
-        else:
+        if next_ready <= now + 1:
+            # The watermark is due: rescan.  (Above it, no warp can
+            # self-advance -- every ready_at assignment lowers it.)
             next_ready = _FAR
             for scheduler in self.schedulers:
                 for warp in scheduler._warps:
@@ -269,8 +257,10 @@ class SMCore(Component):
             # Raise the watermark to the exact scan minimum; it only
             # drops again when a new ready_at is assigned.
             self._next_self_ready = next_ready
-            if next_ready < _FAR and (deadline < 0 or next_ready < deadline):
-                deadline = next_ready
+        # _FAR is "no warp self-advances", not a deadline: such an SM
+        # waits for a reply, so it sleeps untimed.
+        if next_ready < _FAR and (deadline < 0 or next_ready < deadline):
+            deadline = next_ready
         ctas = self._active_ctas
         for cta in ctas:
             if cta.finished:
@@ -281,40 +271,9 @@ class SMCore(Component):
             return False  # the next refill scan would launch a CTA
         if deadline < 0:
             return True
-        return deadline if deadline > now + 1 else False
+        return deadline
 
     # -- activity contract ---------------------------------------------
-
-    def idle(self, now: int) -> bool:
-        """Nothing can happen until a reply arrives or a kernel starts.
-
-        The SM may only sleep when every internal time-driven path is
-        exhausted: no queued requests or replies, no pending L1 hit
-        returns, no warp that could become ready on its own (a warp
-        waiting out a compute latency self-advances, so it blocks
-        sleep), and the periodic CTA refill could neither retire nor
-        launch anything. Skipped cycles still count as stall/idle
-        cycles -- reproduced exactly in :meth:`on_skipped`.
-        """
-        if now < self._launch_at:
-            return False  # must observe its staggered launch cycle
-        if (self._lsu or self._replies._items or self._out._items
-                or self._hit_returns._items):
-            return False
-        for scheduler in self.schedulers:
-            for warp in scheduler._warps:
-                if (not warp.done and not warp.at_barrier
-                        and warp.outstanding == 0):
-                    return False  # ready now or after a compute delay
-        ctas = self._active_ctas
-        for cta in ctas:
-            if cta.finished:
-                return False  # the next refill scan would retire it
-        source = self._cta_source
-        if (source is not None and len(ctas) < self._max_ctas
-                and source.remaining(self.sm_id)):
-            return False  # the next refill scan would launch a CTA
-        return True
 
     def on_skipped(self, cycles: int) -> None:
         """A blocked SM counts stall (and per-scheduler idle) cycles

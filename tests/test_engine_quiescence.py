@@ -168,10 +168,8 @@ class _Sleeper(Component):
         super().__init__("sleeper")
         self.cycles_seen = 0
 
-    def tick(self, now: int) -> None:
+    def tick(self, now: int) -> bool:
         self.cycles_seen += 1
-
-    def idle(self, now: int) -> bool:
         return True
 
     def on_skipped(self, cycles: int) -> None:
@@ -291,37 +289,35 @@ def test_deadline_within_one_cycle_keeps_component_awake() -> None:
     assert sleeper.skipped == 0
 
 
-def test_wake_cancels_a_stale_deadline() -> None:
-    """An ingress wake() before the deadline bumps the component's
-    wake epoch, so the old heap entry must not re-tick it."""
+def test_wake_before_deadline_costs_at_most_one_early_tick() -> None:
+    """An ingress wake() before the deadline leaves the heap entry in
+    place: the woken tick's later deadline rides on it, so the
+    component ticks once early (a strict tick) and never late."""
     sim = Simulator()
     sleeper = sim.add(_TimedSleeper(stride=50))
     sim.run(10)  # ticked at 0, asleep until 50
     assert sleeper._awake is False
     sleeper.wake()
-    sim.run(60)  # ticks at 10, new deadline 60; stale entry at 50
-    assert sleeper.tick_cycles == [0, 10, 60]
+    sim.run(60)  # ticks at 10 (deadline 60 > live entry 50), then 50
+    assert sleeper.tick_cycles == [0, 10, 50]
 
 
-def test_timed_verdict_from_idle_is_honoured() -> None:
-    """``idle()`` may return a deadline too (tick returning None
-    falls through to idle, like the base-class contract)."""
-
-    class _IdleTimed(Component):
-        def __init__(self) -> None:
-            super().__init__("idle-timed")
-            self.tick_cycles: list = []
-
-        def tick(self, now: int) -> None:
-            self.tick_cycles.append(now)
-
-        def idle(self, now: int) -> object:
-            return now + 20
-
+def test_frequent_wakes_keep_one_heap_entry() -> None:
+    """A stride-50 timed sleeper woken every 5 cycles asks for ever
+    later deadlines; none of them is earlier than its live entry, so
+    the heap never holds more than that one entry."""
     sim = Simulator()
-    component = sim.add(_IdleTimed())
-    sim.run(100)
-    assert component.tick_cycles == [0, 20, 40, 60, 80]
+    sleeper = sim.add(_TimedSleeper(stride=50))
+    sizes = []
+
+    def poke(cycle: int) -> None:
+        sleeper.wake()
+        sizes.append(len(sim._wakeups))
+
+    sim.every(5, poke)
+    sim.run(500)
+    assert sleeper.tick_cycles == list(range(0, 500, 5))
+    assert set(sizes) == {1}
 
 
 def test_hook_registered_midrun_on_a_wakeup_deadline_fires_once() -> None:

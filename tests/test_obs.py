@@ -260,10 +260,10 @@ class TestTickProfiler:
 
 
 class TestTickProfilerActivityContract:
-    """The proxy must forward the full activity contract
-    (``wake``/``idle``/``on_sleep``/``on_skipped`` plus the
-    ``_awake``/``_idle_since`` bookkeeping), otherwise a profiled run
-    skips different ticks than an unprofiled one and diverges."""
+    """The proxy must forward the full activity contract (``wake`` and
+    ``on_skipped`` plus the ``_awake``/``_idle_since``/``_wake_at``
+    bookkeeping), otherwise a profiled run skips different ticks than
+    an unprofiled one and diverges."""
 
     class _Sleeper(Component):
         """Sleeps whenever its inbox drains; accounts quiet cycles both
@@ -275,7 +275,6 @@ class TestTickProfilerActivityContract:
             self.ticks = 0
             self.processed = 0
             self.quiet_cycles = 0
-            self.sleeps = 0
 
         def deliver(self, item):
             if not self._awake:
@@ -287,17 +286,11 @@ class TestTickProfilerActivityContract:
             if self.inbox:
                 self.inbox.pop()
                 self.processed += 1
-                # the returned verdict must agree with idle(now): after
-                # draining the last item every future tick is a no-op
+                # after draining the last item every future tick is a
+                # no-op
                 return not self.inbox
             self.quiet_cycles += 1
             return True
-
-        def idle(self, now):
-            return not self.inbox
-
-        def on_sleep(self, now):
-            self.sleeps += 1
 
         def on_skipped(self, cycles):
             self.quiet_cycles += cycles
@@ -309,15 +302,8 @@ class TestTickProfilerActivityContract:
         comp._awake = False
         proxy.wake()
         assert comp._awake is True
-        # idle() delegates
-        assert proxy.idle(0) is True
-        comp.inbox.append(object())
-        assert proxy.idle(0) is False
-        comp.inbox.clear()
-        # on_sleep / on_skipped forward (and the proxy keeps its own
-        # skip counter for the report)
-        proxy.on_sleep(3)
-        assert comp.sleeps == 1
+        # on_skipped forwards (and the proxy keeps its own skip counter
+        # for the report)
         proxy.on_skipped(7)
         assert comp.quiet_cycles == 7
         assert proxy.skipped == 7
@@ -326,6 +312,8 @@ class TestTickProfilerActivityContract:
         assert comp._awake is False
         proxy._idle_since = 42
         assert comp._idle_since == 42 and proxy._idle_since == 42
+        proxy._wake_at = 90
+        assert comp._wake_at == 90 and proxy._wake_at == 90
         # tracer rebinding passes through
         sentinel = object()
         proxy.tracer = sentinel
@@ -353,7 +341,6 @@ class TestTickProfilerActivityContract:
         assert comp_p.ticks == comp_u.ticks
         assert comp_p.processed == comp_u.processed == 10
         assert comp_p.quiet_cycles == comp_u.quiet_cycles
-        assert comp_p.sleeps == comp_u.sleeps >= 2
         assert sim_p.skipped_ticks == sim_u.skipped_ticks > 0
         # the proxy was told about every elided tick
         proxy = sim_p.components[0]
@@ -381,32 +368,43 @@ class TestDisabledOverhead:
     @pytest.mark.benchmark
     def test_disabled_tracing_overhead_under_5_percent(self):
         """The docs/TRACING.md guarantee: with tracing disabled, a
-        100k-cycle run costs < 5% extra wall-clock vs no tracer attached
-        (interleaved best-of-N so host-clock drift hits both systems
-        equally). Strict mode keeps every component ticking so the
-        per-tick guard cost is what's measured (the quiescence engine
-        would otherwise fast-forward the idle system and leave nothing
-        to time)."""
-        _, plain = _nuba_system()
-        _, hooked = _nuba_system()
-        plain.sim.strict = True
-        hooked.sim.strict = True
-        Tracer.attach(hooked, enabled=False)
-        cycles, repeats = 100_000, 5
+        100k-cycle run costs < 5% extra wall-clock vs no tracer attached.
 
-        def timed(system):
+        One system is timed with ``NULL_TRACER`` bound and with a
+        disabled ``Tracer`` bound, alternately in short runs, and the
+        best run of each is compared: host speed swings by tens of
+        percent within seconds, and many short interleaved runs let
+        both sides reach the same fast floor.  Two separately built
+        systems would not do: identical builds differ by far more than
+        5% in idle-tick speed.  Strict mode keeps every component
+        ticking so the per-tick guard cost is what's measured (the
+        quiescence engine would otherwise fast-forward the idle system
+        and leave nothing to time)."""
+        _, system = _nuba_system()
+        system.sim.strict = True
+        disabled = Tracer(enabled=False)
+        cycles, repeats = 2_000, 50  # 100k cycles per side
+
+        def timed(tracer):
+            tracer.bind(system)
             start = time.perf_counter()
             system.sim.run(cycles)
             return time.perf_counter() - start
 
-        base_times, disabled_times = [], []
-        for _ in range(repeats):
-            base_times.append(timed(plain))
-            disabled_times.append(timed(hooked))
-        base = min(base_times)
-        disabled = min(disabled_times)
-        assert disabled <= base * 1.05, (
-            f"disabled tracing overhead {disabled / base - 1:.1%}"
+        times = {NULL_TRACER: [], disabled: []}
+        null_clock = NULL_TRACER.clock
+        try:
+            for i in range(repeats):
+                order = (NULL_TRACER, disabled) if i % 2 else (
+                    disabled, NULL_TRACER)
+                for tracer in order:
+                    times[tracer].append(timed(tracer))
+        finally:
+            NULL_TRACER.clock = null_clock  # bind() pointed it at system
+        base = min(times[NULL_TRACER])
+        overhead = min(times[disabled])
+        assert overhead <= base * 1.05, (
+            f"disabled tracing overhead {overhead / base - 1:.1%}"
         )
 
 

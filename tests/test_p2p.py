@@ -42,8 +42,8 @@ class TestPartitionLinks:
         """A 136 B reply needs three cycles of credit at 62.5 B/cycle.
 
         The links never report sleep while it waits for credit: a link
-        only sleeps with an empty ingress, which is what lets
-        ``on_sleep`` clamp idle credit unconditionally."""
+        only sleeps with an empty ingress, so the tick that put it to
+        sleep already applied the idle credit clamp."""
         links, _, replies = _links(latency=0)
         links.send_reply(_load())
         assert links.tick(0) is False

@@ -5,6 +5,7 @@ import pytest
 from repro.config.gpu import NoCConfig
 from repro.config.presets import baseline_config
 from repro.noc.power import (
+    K_P2P_DYNAMIC,
     CrossbarPowerModel,
     NoCEnergyAccount,
     power_ratio,
@@ -79,6 +80,30 @@ class TestNoCEnergyAccount:
         account.register_crossbar("noc", model, lambda: 0.0)
         account.register_p2p("links", lambda: 0.0)
         assert set(account.breakdown(10)) == {"noc", "links"}
+
+    def test_totals_add_left_to_right(self):
+        """Python 3.12 made float ``sum()`` compensated; the account
+        keeps the left-to-right total of 3.9-3.11 so pinned energies
+        match on every interpreter.  Left to right, 1e16 + 1.0 rounds
+        back to 1e16, so the total is 0.0 rather than 1.0."""
+
+        class _FixedEnergy:
+            def __init__(self, value):
+                self.value = value
+
+            def energy(self, cycles, bytes_moved):
+                return self.value
+
+        account = NoCEnergyAccount()
+        for name, value in (("a", 1e16), ("b", 1.0), ("c", -1e16)):
+            account.register_crossbar(name, _FixedEnergy(value),
+                                      lambda: 0.0)
+        assert account.crossbar_energy(10) == 0.0
+        for name, moved in (("x", 4e19), ("y", 4e3), ("z", -4e19)):
+            account.register_p2p(name, lambda moved=moved: moved)
+        assert K_P2P_DYNAMIC * 4e3 == 1.0
+        assert account.p2p_energy() == 0.0
+        assert account.total_energy(10) == 0.0
 
     def test_power_ratio_validates(self):
         with pytest.raises(ValueError):
