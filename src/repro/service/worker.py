@@ -63,9 +63,9 @@ class ServiceWorker:
         must still match the server's GPU config -- it is not part of
         the fingerprint.
         """
-        client = ServiceClient(url, timeout=kwargs.get("request_timeout",
-                                                       30.0))
-        settings = dict(client.stats().get("settings") or {})
+        with ServiceClient(url, timeout=kwargs.get("request_timeout",
+                                                   30.0)) as client:
+            settings = dict(client.stats().get("settings") or {})
         runner_kwargs = {}
         if "mdr_epoch" in settings:
             runner_kwargs["mdr_epoch"] = int(settings["mdr_epoch"])
