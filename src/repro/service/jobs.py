@@ -73,6 +73,11 @@ class EventLog:
         with self._cond:
             return self._closed
 
+    def wait_closed(self, timeout: Optional[float] = None) -> bool:
+        """Block until the log closes (or ``timeout``); True if closed."""
+        with self._cond:
+            return self._cond.wait_for(lambda: self._closed, timeout)
+
     def snapshot(self, since: int = 0) -> List[dict]:
         """Copy of the events from sequence number ``since`` on."""
         with self._cond:
@@ -147,19 +152,20 @@ class Job:
         self.point_status: Dict[str, PointStatus] = {}
         #: Fingerprints this job is still waiting on.
         self.pending: set = set(fingerprints.values())
-        self.events = EventLog()
+        self.events = events = EventLog()
+
+        def on_progress_event(event: dict) -> None:
+            # The reporter's structured hook feeds the job's event
+            # stream. A closure, not a bound method: that would make a
+            # job <-> reporter cycle, and a forgotten job would wait for
+            # the cyclic garbage collector instead of being freed.
+            events.append(dict(event, job=job_id))
+
         self.reporter = ProgressReporter(
-            stream=None, label=job_id, on_event=self._on_progress_event,
+            stream=None, label=job_id, on_event=on_progress_event,
         )
-        self._done = threading.Event()
 
     # ------------------------------------------------------------------
-
-    def _on_progress_event(self, event: dict) -> None:
-        """The reporter's structured hook feeds the job's event stream."""
-        event = dict(event)
-        event["job"] = self.id
-        self.events.append(event)
 
     def labels_for(self, fingerprint: str) -> List[str]:
         """Every submitted label whose key hashes to ``fingerprint``."""
@@ -181,11 +187,10 @@ class Job:
                           if status.state == "failed"),
         })
         self.events.close()
-        self._done.set()
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until the job reaches a terminal state."""
-        return self._done.wait(timeout)
+        return self.events.wait_closed(timeout)
 
     def progress(self) -> dict:
         """The reporter's counter snapshot plus rate/ETA/utilization."""
