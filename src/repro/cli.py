@@ -936,10 +936,14 @@ def _cmd_submit(args) -> int:
             return 2
         print(f"submitted {job['id']}: {job['state']}, "
               f"{job['points_total']} point(s)")
-        if args.stream:
+        # Finished at once (every point cached): the answer carried the
+        # results and counted as their fetch, so print them now; the
+        # client returns them without another request.
+        finished = "results" in job
+        if args.stream and not finished:
             for event in client.events(job["id"]):
                 print(json.dumps(event))
-        if args.wait or args.stream:
+        if args.wait or args.stream or finished:
             payload = client.result(job["id"], wait=None if args.stream
                                     else 3600.0)
             print(json.dumps(payload, indent=2))
@@ -950,6 +954,8 @@ def _cmd_submit(args) -> int:
         if exc.retry_after is not None:
             print(f"retry after {exc.retry_after:.0f}s", file=sys.stderr)
         return 1
+    finally:
+        client.close()
 
 
 def _cmd_status(args) -> int:

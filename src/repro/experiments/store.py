@@ -101,9 +101,25 @@ def _plain(value):
     return value
 
 
+_RESULT_FIELDS = tuple(field.name for field in dataclasses.fields(RunResult))
+_ENERGY_FIELDS = tuple(field.name
+                       for field in dataclasses.fields(EnergyBreakdown))
+
+
 def result_to_dict(result: RunResult) -> dict:
-    """Serialise a RunResult to a JSON-compatible dict."""
-    data = dataclasses.asdict(result)
+    """Serialise a RunResult to a JSON-compatible dict.
+
+    The dict ``dataclasses.asdict`` gives, key order included, plus
+    ``_schema``; built field by field, because ``asdict`` deep-copies
+    every value and a served cache hit paid mostly for that. Container
+    fields are copied one level deep: their values are numbers.
+    """
+    data = {name: getattr(result, name) for name in _RESULT_FIELDS}
+    energy = result.energy
+    data["energy"] = {name: getattr(energy, name) for name in _ENERGY_FIELDS}
+    data["tracker"] = dict(result.tracker)
+    data["pages_per_channel"] = list(result.pages_per_channel)
+    data["extra"] = dict(result.extra)
     data["_schema"] = SCHEMA_VERSION
     return data
 

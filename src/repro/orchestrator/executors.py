@@ -38,7 +38,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.system import RunResult
 from repro.experiments.runner import ExperimentRunner, RunKey
@@ -426,7 +426,7 @@ class ShardedExecutor(ExecutorBackend):
 class _RemoteJob:
     """Executor-side state for one in-flight point (plus its spare)."""
 
-    __slots__ = ("key", "label", "attempts", "submitted_at",
+    __slots__ = ("key", "label", "attempts", "answered", "submitted_at",
                  "last_retried", "stolen")
 
     def __init__(self, key: RunKey, label: str) -> None:
@@ -434,9 +434,19 @@ class _RemoteJob:
         self.label = label
         #: Live (endpoint_index, job_id) submissions, primary first.
         self.attempts: List = []
+        #: Copies whose submission answer was already terminal (a cache
+        #: hit), with that state: their results came with the answer.
+        self.answered: Dict[Tuple[int, str], str] = {}
         self.submitted_at = time.monotonic()
         self.last_retried = 0
         self.stolen = False
+
+    def add_copy(self, index: int, answer: dict) -> None:
+        """Record a submission of this point to endpoint ``index``."""
+        copy = (index, answer["id"])
+        self.attempts.append(copy)
+        if "results" in answer:
+            self.answered[copy] = answer["state"]
 
 
 class RemoteExecutor(ExecutorBackend):
@@ -462,7 +472,10 @@ class RemoteExecutor(ExecutorBackend):
     Results come back through the wire codec and are published into the
     local runner's store, so a remote sweep is resumable and
     bit-identical to a local one (the store's save-time equality check
-    enforces exactly that).
+    enforces exactly that). A point the endpoint already holds comes
+    back finished in its submission answer, which carries the results
+    and counts as their fetch; the next :meth:`poll` completes it from
+    that answer without another request.
     """
 
     name = "remote"
@@ -494,6 +507,7 @@ class RemoteExecutor(ExecutorBackend):
         # so importing it at module scope would be circular.
         from repro.service.client import ServiceClient
 
+        self._close_clients()
         self._clients = [ServiceClient(url, timeout=self.request_timeout)
                          for url in self.endpoints]
         self._alive = [False] * len(self._clients)
@@ -507,6 +521,7 @@ class RemoteExecutor(ExecutorBackend):
                 continue
             remote = stats.get("settings")
             if remote is not None and dict(remote) != dict(local):
+                self._close_clients()
                 raise BackendError(
                     f"endpoint {self.endpoints[index]} runs settings "
                     f"{remote}, local runner has {local}; results would "
@@ -514,6 +529,7 @@ class RemoteExecutor(ExecutorBackend):
                 )
             self._alive[index] = True
         if not any(self._alive):
+            self._close_clients()
             raise BackendError(
                 "no live endpoints: " + "; ".join(problems)
             )
@@ -537,6 +553,13 @@ class RemoteExecutor(ExecutorBackend):
 
     def close(self) -> None:
         self.cancel()
+        self._close_clients()
+
+    def _close_clients(self) -> None:
+        """Close every client's connections (the server then frees the
+        handler threads serving them)."""
+        for client in self._clients:
+            client.close()
 
     # -- submission -----------------------------------------------------
 
@@ -551,8 +574,8 @@ class RemoteExecutor(ExecutorBackend):
             return None
         return min(candidates, key=self._inflight_on)
 
-    def _submit_to(self, index: int, key: RunKey, label: str) -> str:
-        """One point, one endpoint; returns the remote job id."""
+    def _submit_to(self, index: int, key: RunKey, label: str) -> dict:
+        """One point, one endpoint; returns the service's answer."""
         from repro.service.client import ServiceError
 
         try:
@@ -571,7 +594,7 @@ class RemoteExecutor(ExecutorBackend):
                 f"endpoint {self.endpoints[index]} unreachable ({exc})"
             )
             raise ConnectionError(str(exc)) from None
-        return job["id"]
+        return job
 
     def submit(self, key: RunKey, label: Optional[str] = None) -> object:
         label = label or key.describe()
@@ -580,11 +603,11 @@ class RemoteExecutor(ExecutorBackend):
             if index is None:
                 raise BackendError("all service endpoints are down")
             try:
-                job_id = self._submit_to(index, key, label)
+                answer = self._submit_to(index, key, label)
             except ConnectionError:
                 continue  # endpoint just died; try the next one
             rjob = _RemoteJob(key, label)
-            rjob.attempts.append((index, job_id))
+            rjob.add_copy(index, answer)
             self._handle_seq += 1
             handle = self._handle_seq
             self._jobs[handle] = rjob
@@ -619,20 +642,24 @@ class RemoteExecutor(ExecutorBackend):
         for index, job_id in rjob.attempts:
             if not self._alive[index]:
                 continue
-            try:
-                info = self._clients[index].job(job_id)
-            except ServiceError as exc:
-                errors.append(f"{self.endpoints[index]}: {exc}")
-                continue  # evicted/unknown job: this copy is gone
-            except OSError as exc:
-                self._alive[index] = False
-                self.orchestrator.progress.note(
-                    f"endpoint {self.endpoints[index]} unreachable "
-                    f"({exc})"
-                )
-                continue
-            self._forward_retries(rjob, info)
-            state = info.get("state")
+            # A copy that finished in its submission answer settles
+            # without a request: its results came with that answer.
+            state = rjob.answered.get((index, job_id))
+            if state is None:
+                try:
+                    info = self._clients[index].job(job_id)
+                except ServiceError as exc:
+                    errors.append(f"{self.endpoints[index]}: {exc}")
+                    continue  # evicted/unknown job: this copy is gone
+                except OSError as exc:
+                    self._alive[index] = False
+                    self.orchestrator.progress.note(
+                        f"endpoint {self.endpoints[index]} unreachable "
+                        f"({exc})"
+                    )
+                    continue
+                self._forward_retries(rjob, info)
+                state = info.get("state")
             if state == "done":
                 outcome = self._fetch_result(handle, rjob, index, job_id)
                 if outcome is not None:
@@ -713,10 +740,10 @@ class RemoteExecutor(ExecutorBackend):
             if index is None or self._inflight_on(index) > 0:
                 continue  # only steal onto an idle endpoint
             try:
-                job_id = self._submit_to(index, rjob.key, rjob.label)
+                answer = self._submit_to(index, rjob.key, rjob.label)
             except (Backpressure, BackendError, ConnectionError):
                 continue  # stealing is strictly best-effort
-            rjob.attempts.append((index, job_id))
+            rjob.add_copy(index, answer)
             rjob.stolen = True
             self.orchestrator.progress.note(
                 f"work-stealing: resubmitted {rjob.label!r} to "

@@ -64,6 +64,7 @@ class ProgressReporter:
         self.retried = 0
         self.busy_seconds = 0.0
         self._started_at: Optional[float] = None
+        self._finished_at: Optional[float] = None
         self._last_emit = 0.0
         self._listeners: List[Callable[[Event], None]] = []
         if on_event is not None:
@@ -117,6 +118,7 @@ class ProgressReporter:
         self.total = total
         self.workers = max(1, workers)
         self._started_at = time.monotonic()
+        self._finished_at = None
         self._event("start", workers=self.workers)
         self._emit(force=True)
 
@@ -163,10 +165,12 @@ class ProgressReporter:
         return self.executed + self.cached + self.failed
 
     def wall_seconds(self) -> float:
-        """Wall-clock seconds since :meth:`start`."""
+        """Wall-clock seconds from :meth:`start` to :meth:`finish`, or
+        to now while the sweep runs."""
         if self._started_at is None:
             return 0.0
-        return time.monotonic() - self._started_at
+        end = self._finished_at
+        return (time.monotonic() if end is None else end) - self._started_at
 
     def seconds_per_point(self) -> float:
         """Mean simulation wall-clock per executed point."""
@@ -218,7 +222,8 @@ class ProgressReporter:
         print(self.status_line(), file=self.stream, flush=True)
 
     def finish(self) -> None:
-        """Emit the final summary line."""
+        """Stop the clock and emit the final summary line."""
+        self._finished_at = time.monotonic()
         self._event("finish")
         if self.stream is None:
             return

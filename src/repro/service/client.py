@@ -15,6 +15,20 @@ the server closes connections only between requests, submissions are
 idempotent by fingerprint and claim leases expire. :meth:`events`
 streams over a connection of its own. :meth:`ServiceClient.close` (or
 leaving a ``with`` block) closes every connection the client opened.
+
+Request sockets block without a timeout: a socket timeout makes
+CPython ``poll()`` before every ``recv`` and ``send``, and under a
+running simulation each extra call costs an interpreter-lock switch
+interval (docs/PERFORMANCE.md, "Service round trips"). A daemon reaper
+enforces the request deadlines instead: every 0.5 s it shuts the
+socket of each request past its deadline, and that request raises
+:class:`TimeoutError` without a retry. Event streams keep a socket
+timeout, which bounds each read.
+
+:meth:`ServiceClient.submit` asks with ``?wait=0``. A submission the
+server finishes at once (every point cached) comes back with its
+results, and :meth:`ServiceClient.result` returns them without a
+request: a cache hit is one round trip.
 """
 
 from __future__ import annotations
@@ -24,6 +38,8 @@ import json
 import re
 import socket
 import threading
+import time
+from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 from urllib.parse import urlsplit
 
@@ -46,8 +62,76 @@ class ServiceError(RuntimeError):
         self.retry_after = retry_after
 
 
+#: Submission answers with results a client keeps for
+#: :meth:`ServiceClient.result`; past this the oldest is dropped, and
+#: its result is fetched from the server. Callers take an answer right
+#: after their submit, or at their next poll (``RemoteExecutor``, with
+#: a few points in flight per endpoint), so few are ever kept.
+ANSWERS_KEPT = 32
+
+
 class _NoResponse(ConnectionError):
     """The connection failed before any byte of the response."""
+
+
+class _Reaper:
+    """Enforces request deadlines outside the socket.
+
+    One daemon thread per process, shared by every client, wakes every
+    :attr:`interval` seconds, whatever the request rate, while any
+    request is in flight, and exits at the first check that finds none.
+    It shuts the socket of each request past its deadline and marks
+    it; the blocked call then fails, and :meth:`release` reports the
+    mark.
+    """
+
+    interval = 0.5
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._deadlines: Dict[socket.socket, float] = {}
+        self._expired: Set[socket.socket] = set()
+        self._thread: Optional[threading.Thread] = None
+
+    def watch(self, sock: socket.socket, deadline: float) -> None:
+        """Start the deadline of the request now in flight on ``sock``."""
+        with self._lock:
+            self._deadlines[sock] = deadline
+            if self._thread is None or not self._thread.is_alive():
+                self._thread = threading.Thread(
+                    target=self._run, name="repro-client-reaper",
+                    daemon=True)
+                self._thread.start()
+
+    def release(self, sock: socket.socket) -> bool:
+        """End the request on ``sock``; True if its deadline expired."""
+        with self._lock:
+            self._deadlines.pop(sock, None)
+            if sock in self._expired:
+                self._expired.discard(sock)
+                return True
+            return False
+
+    def _run(self) -> None:
+        while True:
+            time.sleep(self.interval)
+            now = time.monotonic()
+            with self._lock:
+                if not self._deadlines:
+                    self._thread = None  # the next watch starts another
+                    return
+                for sock, deadline in list(self._deadlines.items()):
+                    if deadline > now:
+                        continue
+                    del self._deadlines[sock]
+                    self._expired.add(sock)
+                    try:
+                        sock.shutdown(socket.SHUT_RDWR)
+                    except OSError:
+                        pass  # closed meanwhile
+
+
+_REAPER = _Reaper()
 
 
 class ServiceClient:
@@ -66,6 +150,8 @@ class ServiceClient:
         self._lock = threading.Lock()
         #: Every open connection, so close() reaches other threads'.
         self._open: Set[socket.socket] = set()
+        #: job id -> submission answer with results, oldest first.
+        self._answers: "OrderedDict[str, dict]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # Transport.
@@ -144,53 +230,72 @@ class ServiceClient:
                 f"bad response from {self.base_url}: {exc!r}") from None
         return response
 
-    def _send(self, method: str, path: str, body: Optional[dict],
-              timeout: float) -> Tuple[http.client.HTTPResponse,
-                                       socket.socket]:
+    def _request(self, method: str, path: str, body: Optional[dict] = None,
+                 timeout: Optional[float] = None):
         """Send over this thread's connection; retry a stale one once.
 
         A connection in this thread's slot has served a response, so
         a failure before the next response byte means the server
         closed it between requests.
         """
+        timeout = self.timeout if timeout is None else timeout
         message = self._message(method, path, body)
+        deadline = time.monotonic() + timeout
         sock = getattr(self._local, "sock", None)
         if sock is not None and sock.fileno() >= 0:
             try:
-                if sock.gettimeout() != timeout:
-                    sock.settimeout(timeout)
-                return self._exchange(sock, message, method), sock
+                return self._round_trip(sock, message, method, deadline)
             except _NoResponse:
-                self._discard(sock)  # retried once, below
-            except OSError:
-                self._discard(sock)
-                raise
+                pass  # discarded; retried once, below
         sock = self._connect(timeout)
+        sock.settimeout(None)  # the reaper holds the deadline
         self._local.sock = sock
-        try:
-            return self._exchange(sock, message, method), sock
-        except OSError:
-            self._discard(sock)
-            raise
+        return self._round_trip(sock, message, method, deadline)
 
-    def _request(self, method: str, path: str, body: Optional[dict] = None,
-                 timeout: Optional[float] = None):
-        timeout = self.timeout if timeout is None else timeout
-        response, sock = self._send(method, path, body, timeout)
+    def _round_trip(self, sock: socket.socket, message: bytes,
+                    method: str, deadline: float):
+        """One request and its decoded response over ``sock``.
+
+        Any failure discards the connection. Past ``deadline`` the
+        reaper shuts the socket, and this raises :class:`TimeoutError`
+        whatever the blocked call saw.
+        """
+        _REAPER.watch(sock, deadline)
         try:
+            response = self._exchange(sock, message, method)
             data = response.read()
-        except http.client.HTTPException as exc:
+        except BaseException as exc:
+            expired = _REAPER.release(sock)
             self._discard(sock)
-            raise ConnectionError(
-                f"truncated response from {self.base_url}: {exc!r}"
-            ) from None
-        except OSError:
-            self._discard(sock)
+            if not isinstance(exc, Exception):
+                raise  # an interrupt or exit is never a timeout
+            if expired:
+                raise self._timed_out(method) from None
+            if isinstance(exc, http.client.HTTPException):
+                raise ConnectionError(
+                    f"truncated response from {self.base_url}: {exc!r}"
+                ) from None
             raise
+        if _REAPER.release(sock):
+            self._discard(sock)
+            raise self._timed_out(method)
         if response.will_close:
             self._discard(sock)
         _raise_for_status(response, data)
         return json.loads(data)
+
+    def _timed_out(self, method: str) -> TimeoutError:
+        return TimeoutError(f"{method} request to {self.base_url} "
+                            "passed its deadline")
+
+    def _keep(self, answer: dict) -> None:
+        """Keep a submission answer that carries results for result()."""
+        kept = {name: answer[name]
+                for name in ("id", "state", "results", "failures")}
+        with self._lock:
+            self._answers[kept["id"]] = kept
+            while len(self._answers) > ANSWERS_KEPT:
+                self._answers.popitem(last=False)
 
     # ------------------------------------------------------------------
     # API.
@@ -228,7 +333,10 @@ class ServiceClient:
             body["points"] = wire
         else:
             raise ValueError("submit needs points or a figure name")
-        return self._request("POST", "/jobs", body=body)
+        answer = self._request("POST", "/jobs?wait=0", body=body)
+        if "results" in answer:
+            self._keep(answer)
+        return answer
 
     def jobs(self) -> List[dict]:
         """Summaries of every job the server remembers."""
@@ -239,7 +347,15 @@ class ServiceClient:
         return self._request("GET", f"/jobs/{job_id}")
 
     def result(self, job_id: str, wait: Optional[float] = None) -> dict:
-        """Fetch a finished job's results; ``wait`` blocks server-side."""
+        """Fetch a finished job's results; ``wait`` blocks server-side.
+
+        The results of a job that :meth:`submit` saw finish come from
+        its answer, once, without a request.
+        """
+        with self._lock:
+            answer = self._answers.pop(job_id, None)
+        if answer is not None:
+            return answer
         path = f"/jobs/{job_id}/result"
         timeout = self.timeout
         if wait is not None:

@@ -9,6 +9,7 @@ actual simulation concurrency, not the HTTP layer).
 REST surface::
 
     POST   /jobs              submit {points: [...]} or {figure: "fig7"}
+                              (``?wait=SECONDS``: results if done by then)
     GET    /jobs              list jobs
     GET    /jobs/<id>         job status + per-point states + progress
     GET    /jobs/<id>/result  results (``?wait=SECONDS`` to block)
@@ -21,10 +22,18 @@ REST surface::
 
 Submissions are JSON. A fully cache-satisfied job answers 201 with
 ``state == "done"`` immediately; a full queue answers 429 with a
-``Retry-After`` header. The events endpoint replies NDJSON
-(``application/x-ndjson``) by default and Server-Sent Events when the
-client sends ``Accept: text/event-stream``; both stream until the job
-reaches a terminal state.
+``Retry-After`` header. ``POST /jobs?wait=SECONDS`` waits up to that
+long after the submission: if the job is terminal by then, the 201
+body also carries the ``results`` and ``failures`` that
+``GET /jobs/<id>/result`` would return, and that answer counts as the
+job's fetch (a cache hit then costs one request). Without ``wait`` the
+201 body is the job alone and the job is kept until its result is
+fetched. Both ``wait`` parameters are parsed and bounded alike; a
+value that is not a finite number of seconds is a 400. The events
+endpoint replies NDJSON (``application/x-ndjson``) by default and
+Server-Sent Events when the client sends ``Accept:
+text/event-stream``; both stream until the job reaches a terminal
+state.
 
 Connections are persistent (HTTP/1.1): a client may send any number of
 requests over one connection, and each JSON response carries
@@ -32,14 +41,18 @@ requests over one connection, and each JSON response carries
 after a response whose request body was not fully read (400, 413, a
 bad ``Content-Length``, a body on a GET), after a 500, when the client
 asks (``Connection: close`` or HTTP/1.0), and after
-:attr:`ServiceHandler.idle_timeout` seconds idle. Event streams are
-close-delimited: they send ``Connection: close`` and end with the
-connection. :meth:`ServiceServer.stop` shuts every open connection.
+:attr:`ServiceHandler.idle_timeout` seconds idle. Before closing after
+a 413 the server half-closes and reads the rest of the declared body
+(bounded), so a client still sending it reads its 413 rather than a
+reset. Event streams are close-delimited: they send ``Connection:
+close`` and end with the connection. :meth:`ServiceServer.stop` shuts
+every open connection.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import socket
 import threading
 import time
@@ -62,6 +75,10 @@ from repro.service.manager import (
 )
 
 
+#: Longest ``?wait=`` a request may ask for (a day); a longer one is cut.
+MAX_WAIT_SECONDS = 86400.0
+
+
 class ApiError(Exception):
     """An error with an HTTP status, rendered as a JSON body."""
 
@@ -70,6 +87,22 @@ class ApiError(Exception):
         super().__init__(message)
         self.status = status
         self.retry_after = retry_after
+
+
+def _wait_seconds(query: dict) -> Optional[float]:
+    """The request's ``?wait=SECONDS``: None when absent, else clamped
+    to ``[0, MAX_WAIT_SECONDS]``; a value that is not a finite number
+    is a 400."""
+    raw = query.get("wait")
+    if raw is None:
+        return None
+    try:
+        wait = float(raw)
+    except ValueError:
+        wait = math.nan
+    if not math.isfinite(wait):
+        raise ApiError(400, "'wait' must be seconds")
+    return min(max(wait, 0.0), MAX_WAIT_SECONDS)
 
 
 def _job_result_payload(job: Job) -> dict:
@@ -104,6 +137,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
     wbufsize = 64 * 1024
     #: Max accepted request body (a figure submission is ~kilobytes).
     max_body_bytes = 4 * 1024 * 1024
+    #: After a 413, read and drop at most this much of the rejected
+    #: body, for at most ``discard_seconds``, before closing.
+    discard_bytes = 16 * 1024 * 1024
+    discard_seconds = 2.0
 
     @property
     def manager(self) -> JobManager:
@@ -185,6 +222,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
         except ApiError as exc:
             self._send_json({"error": str(exc)}, status=exc.status,
                             retry_after=exc.retry_after)
+            if exc.status == 413:
+                self._discard_body()
         except UnknownJobError as exc:
             self._send_json({"error": f"unknown job {exc.args[0]!r}"},
                             status=404)
@@ -197,6 +236,32 @@ class ServiceHandler(BaseHTTPRequestHandler):
                                 status=500)
             except Exception:  # noqa: BLE001 -- headers already sent
                 pass
+
+    def _discard_body(self) -> None:
+        """Let a client still sending a rejected body read the answer.
+
+        Closing with unread bytes makes the kernel send a reset, which
+        can reach the client before the response does. So send the
+        response, half-close, and read the rest of the declared body
+        (bounded in bytes and seconds); the close then sends a FIN.
+        """
+        sock = self.connection
+        remaining = min(self._content_length(), self.discard_bytes)
+        deadline = time.monotonic() + self.discard_seconds
+        try:
+            self.wfile.flush()
+            sock.shutdown(socket.SHUT_WR)
+            while remaining > 0:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    break
+                sock.settimeout(left)
+                chunk = self.rfile.read1(min(remaining, 64 * 1024))
+                if not chunk:
+                    break
+                remaining -= len(chunk)
+        except OSError:
+            pass  # reset or timed out: the connection closes anyway
 
     def handle_one_request(self) -> None:
         """Serve one request; the connection idles until it begins."""
@@ -250,12 +315,21 @@ class ServiceHandler(BaseHTTPRequestHandler):
             points = self._points_from_body(body)
         except CodecError as exc:
             raise ApiError(400, str(exc)) from None
+        wait = _wait_seconds(query)
         try:
             job = self.manager.submit(points, tenant=tenant, name=name)
         except QueueFullError as exc:
             raise ApiError(429, str(exc),
                            retry_after=exc.retry_after) from None
-        self._send_json(job.to_dict(), status=201)
+        if wait is None or not job.wait(timeout=wait):
+            self._send_json(job.to_dict(), status=201)
+            return
+        # Terminal within the wait: the answer carries the results and
+        # counts as their fetch, as on GET /jobs/<id>/result.
+        payload = job.to_dict()
+        payload.update(_job_result_payload(job))
+        self._send_json(payload, status=201)
+        self.manager.result_fetched(job)
 
     def _points_from_body(self, body: dict):
         if "figure" in body:
@@ -299,12 +373,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
             raise ApiError(404, f"no such resource: {self.path}")
 
     def _get_job_result(self, job: Job, query: dict) -> None:
-        wait = query.get("wait")
+        wait = _wait_seconds(query)
         if wait is not None:
-            try:
-                job.wait(timeout=float(wait))
-            except ValueError:
-                raise ApiError(400, "'wait' must be seconds") from None
+            job.wait(timeout=wait)
         if not job.terminal:
             raise ApiError(409, f"job {job.id} is {job.state}; "
                                 "stream /events or retry with ?wait=")

@@ -30,7 +30,10 @@ from repro.orchestrator import (
     SweepOrchestrator,
     shard_of,
 )
-from repro.service import JobManager, ServiceServer
+from repro.core.system import RunResult
+from repro.power.energy import EnergyBreakdown
+from repro.service import JobManager, ServiceClient, ServiceServer
+from repro.service import manager as manager_module
 
 from tests.test_orchestrator import (
     TINY_SWEEP_KEYS,
@@ -381,3 +384,45 @@ class TestRemoteExecutor:
         for key, expected in reference.items():
             assert dataclasses.asdict(report.results[key]) == \
                 dataclasses.asdict(expected)
+
+    def test_sweep_closes_its_clients(self, service, tmp_path):
+        backend = RemoteExecutor([service.url], steal_after=None,
+                                 poll_interval=0.05)
+        orchestrator = SweepOrchestrator(make_runner(tmp_path / "local"),
+                                         workers=2, backend=backend,
+                                         backoff=0.0)
+        assert orchestrator.run(tiny_sweep()).ok
+        assert backend._clients
+        assert all(not client._open for client in backend._clients)
+
+    def test_cached_answer_completes_without_the_job(self, tmp_path,
+                                                     monkeypatch):
+        # The endpoint holds the point: the submission answer carries
+        # its result and counts as the fetch, so the server may forget
+        # the job before the next poll; the poll must not need it.
+        monkeypatch.setattr(manager_module, "FINISHED_JOBS_KEPT", 4)
+        key = RunKey("KMEANS")
+        held = RunResult("nuba", 7, 1, 1, 0.0, 0.0, 0.0, 0, 0, 0,
+                         EnergyBreakdown(0.0, 0.0, 0.0, 0.0, 0.0), {})
+        runner = make_runner()
+        runner.publish(key, held)
+        runner.publish(RunKey("AN"), held)
+        server = ServiceServer(JobManager(runner, workers=1),
+                               port=0).start()
+        backend = RemoteExecutor([server.url], steal_after=None,
+                                 poll_interval=0.05)
+        backend.bind(SweepOrchestrator(make_runner(), workers=1))
+        try:
+            backend.start()
+            handle = backend.submit(key, "p")
+            with ServiceClient(server.url) as other:
+                for _ in range(manager_module.FINISHED_JOBS_KEPT):
+                    job = other.submit(points=[(None, RunKey("AN"))])
+                    other.result(job["id"])
+            [completion] = backend.poll(5.0)
+        finally:
+            backend.close()
+            server.stop()
+        assert completion.handle == handle
+        assert completion.error is None
+        assert completion.result == held

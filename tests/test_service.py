@@ -44,6 +44,7 @@ from repro.service import (
     runkey_from_dict,
     runkey_to_dict,
 )
+from repro.service import client as client_module
 from repro.service import manager as manager_module
 from repro.service.manager import FINISHED_JOBS_KEPT
 
@@ -587,6 +588,17 @@ class TestHttpSurface:
             client._request("GET", "/nope")
         assert excinfo.value.status == 404
 
+    def test_finished_job_clock_stops(self, server_factory,
+                                      client_factory):
+        server = server_factory(warm_runner("AN"), workers=1)
+        client = client_factory(server.url)
+        job = client.submit(points=[(None, RunKey("AN"))])
+        first = client.job(job["id"])["progress"]
+        time.sleep(0.2)
+        second = client.job(job["id"])["progress"]
+        assert first["wall_seconds"] == second["wall_seconds"]
+        assert first["utilization"] == second["utilization"]
+
 
 class TestStoreIntegration:
     def test_results_persist_across_managers(self, manager_factory,
@@ -716,8 +728,24 @@ class TestJobHistory:
         assert types == ["start", "cache_hit", "finish", "job"]
 
     def test_unfetched_job_outlives_newer_jobs(self, server_factory):
-        # A client that submits and fetches later still gets its result
-        # however many jobs other clients finish in between.
+        # A client that submits without ``wait`` and fetches later still
+        # gets its result however many jobs other clients finish in
+        # between.
+        server = server_factory(warm_runner("AN"), workers=1)
+        with ServiceClient(server.url) as mine, \
+                ServiceClient(server.url) as others:
+            job = mine._request("POST", "/jobs",
+                                body=wire_body("mine", RunKey("AN")))
+            assert job["state"] == "done" and "results" not in job
+            for _ in range(FINISHED_JOBS_KEPT + 1):
+                other = others.submit(points=[(None, RunKey("AN"))])
+                others.result(other["id"])
+            assert list(mine.result(job["id"])["results"]) == ["mine"]
+
+    def test_kept_answer_outlives_newer_jobs(self, server_factory):
+        # ServiceClient takes a cache hit's results with its submission
+        # (which counts as the fetch) and keeps them for result(), so
+        # the server may forget the job meanwhile.
         server = server_factory(warm_runner("AN"), workers=1)
         with ServiceClient(server.url) as mine, \
                 ServiceClient(server.url) as others:
@@ -725,6 +753,8 @@ class TestJobHistory:
             for _ in range(FINISHED_JOBS_KEPT + 1):
                 other = others.submit(points=[(None, RunKey("AN"))])
                 others.result(other["id"])
+            with pytest.raises(UnknownJobError):
+                server.manager.get(job["id"])
             assert list(mine.result(job["id"])["results"]) == ["mine"]
 
     def test_forgotten_job_is_404_over_http(self, server_factory):
@@ -738,6 +768,215 @@ class TestJobHistory:
             with pytest.raises(ServiceError) as excinfo:
                 client.result(first["id"])
         assert excinfo.value.status == 404
+
+
+def count_dispatches(monkeypatch):
+    """Record ``(method, path)`` of every request the server routes."""
+    calls = []
+    dispatch = ServiceHandler._dispatch
+
+    def counting(handler, method):
+        calls.append((method, handler.path))
+        dispatch(handler, method)
+
+    monkeypatch.setattr(ServiceHandler, "_dispatch", counting)
+    return calls
+
+
+def record_fetches(monkeypatch, manager):
+    """Record the id of every job the server counts as fetched."""
+    fetched = []
+    result_fetched = manager.result_fetched
+
+    def recording(job):
+        fetched.append(job.id)
+        result_fetched(job)
+
+    monkeypatch.setattr(manager, "result_fetched", recording)
+    return fetched
+
+
+def wire_body(label, key):
+    """A ``POST /jobs`` body for one labelled point."""
+    return {"points": [dict(runkey_to_dict(key), label=label)]}
+
+
+class TestOneRoundTrip:
+    """``POST /jobs?wait=`` answers a finished submission with its
+    results, and ``ServiceClient`` keeps them for ``result()``."""
+
+    def test_cache_hit_is_one_request(self, server_factory,
+                                      client_factory, monkeypatch):
+        server = server_factory(warm_runner("AN"), workers=1)
+        client = client_factory(server.url)
+        calls = count_dispatches(monkeypatch)
+        job = client.submit(points=[("p", RunKey("AN"))])
+        payload = client.result(job["id"])
+        assert payload["state"] == "done"
+        assert payload["results"]["p"]["cycles"] == 7
+        assert calls == [("post", "/jobs?wait=0")]
+
+    def test_wait_answer_carries_the_result_payload(self, server_factory,
+                                                    client_factory,
+                                                    monkeypatch):
+        server = server_factory(warm_runner("AN"), workers=1)
+        client = client_factory(server.url)
+        fetched = record_fetches(monkeypatch, server.manager)
+        body = json.dumps(wire_body("p", RunKey("AN"))).encode()
+        response, raw, _ = _raw_exchange(
+            server,
+            b"POST /jobs?wait=0 HTTP/1.1\r\nHost: x\r\nConnection: close"
+            b"\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body))
+        assert response.status == 201
+        answer = json.loads(raw)
+        assert answer["state"] == "done"
+        assert answer["points"][0]["state"] == "cached"
+        assert fetched == [answer["id"]]
+        again = client._request("GET", f"/jobs/{answer['id']}/result")
+        assert answer["results"] == again["results"]
+        assert answer["failures"] == again["failures"] == {}
+
+    def test_no_wait_carries_no_results(self, server_factory,
+                                        client_factory, monkeypatch):
+        server = server_factory(warm_runner("AN"), workers=1)
+        client = client_factory(server.url)
+        fetched = record_fetches(monkeypatch, server.manager)
+        answer = client._request("POST", "/jobs",
+                                 body=wire_body("p", RunKey("AN")))
+        assert answer["state"] == "done"
+        assert "results" not in answer and "failures" not in answer
+        assert fetched == []
+
+    @pytest.mark.parametrize("wait", ["abc", "nan", "inf"])
+    def test_bad_wait_is_400(self, server_factory, client_factory, wait):
+        server = server_factory(warm_runner("AN"), workers=1)
+        client = client_factory(server.url)
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", f"/jobs?wait={wait}",
+                            body=wire_body("p", RunKey("AN")))
+        assert excinfo.value.status == 400
+        job = client._request("POST", "/jobs",
+                              body=wire_body("p", RunKey("AN")))
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("GET", f"/jobs/{job['id']}/result?wait={wait}")
+        assert excinfo.value.status == 400
+
+    def test_cold_point_is_fetched_later(self, server_factory,
+                                         client_factory, monkeypatch):
+        server = server_factory(make_runner(), workers=1,
+                                task_fn=_gated_task)
+        client = client_factory(server.url)
+        calls = count_dispatches(monkeypatch)
+        job = client.submit(points=[("p", RunKey("AN"))])
+        assert job["state"] in ("queued", "running")
+        assert "results" not in job
+        _GATE.set()
+        payload = client.result(job["id"], wait=30.0)
+        assert payload["state"] == "done"
+        assert payload["results"]["p"]["cycles"] == 7
+        assert [method for method, _ in calls] == ["post", "get"]
+
+    def test_kept_answers_are_bounded(self, server_factory,
+                                      client_factory, monkeypatch):
+        monkeypatch.setattr(client_module, "ANSWERS_KEPT", 2)
+        server = server_factory(warm_runner("AN"), workers=1)
+        client = client_factory(server.url)
+        jobs = [client.submit(points=[(f"p{i}", RunKey("AN"))])
+                for i in range(3)]
+        assert list(client._answers) == [job["id"] for job in jobs[1:]]
+        calls = count_dispatches(monkeypatch)
+        # The oldest answer was dropped: its result comes from the
+        # server (which still holds the fetched job in its history).
+        assert list(client.result(jobs[0]["id"])["results"]) == ["p0"]
+        assert calls == [("get", f"/jobs/{jobs[0]['id']}/result")]
+        assert list(client.result(jobs[2]["id"])["results"]) == ["p2"]
+        assert len(calls) == 1
+        # A kept answer is returned once, then forgotten.
+        assert list(client._answers) == [jobs[1]["id"]]
+
+    def test_oversized_body_gets_its_413(self, server_factory,
+                                         client_factory):
+        server = server_factory(make_runner(), workers=1)
+        client = client_factory(server.url)
+        label = "x" * (5 * 1024 * 1024)
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(points=[(label, RunKey("AN"))])
+        assert excinfo.value.status == 413
+        assert client.healthz() == {"ok": True}
+
+    def test_repro_submit_prints_a_cached_result(self, server_factory,
+                                                 capsys):
+        from repro.cli import main
+
+        key = RunKey("AN", Architecture.NUBA,
+                     replication=ReplicationPolicy.MDR)
+        runner = make_runner()
+        runner.publish(key, _dummy_result())
+        server = server_factory(runner, workers=1)
+        assert main(["submit", "--url", server.url, "--bench", "AN",
+                     "--arch", "nuba"]) == 0
+        head, body = capsys.readouterr().out.split("\n", 1)
+        assert head.endswith(": done, 1 point(s)")
+        payload = json.loads(body)
+        assert payload["state"] == "done"
+        [result] = payload["results"].values()
+        assert result["cycles"] == 7
+
+
+class TestClientDeadlines:
+    @pytest.mark.parametrize("answered", [0, 1])
+    def test_request_deadline_raises_without_retry(self, answered):
+        # A server that answers ``answered`` requests on a connection,
+        # then hangs: the next request must time out on the reaper's
+        # schedule and must not be retried on a fresh connection.
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(0.1)
+        accepted = []
+        stop = threading.Event()
+
+        def serve() -> None:
+            while not stop.is_set():
+                try:
+                    conn, _ = listener.accept()
+                except socket.timeout:
+                    continue
+                accepted.append(conn)
+                if len(accepted) == 1 and answered:
+                    conn.recv(4096)
+                    body = b'{"ok": true}'
+                    conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: "
+                                 + str(len(body)).encode()
+                                 + b"\r\n\r\n" + body)
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        try:
+            port = listener.getsockname()[1]
+            with ServiceClient(f"http://127.0.0.1:{port}",
+                               timeout=0.5) as client:
+                if answered:
+                    assert client.healthz() == {"ok": True}
+                started = time.monotonic()
+                with pytest.raises(TimeoutError):
+                    client.healthz()
+                elapsed = time.monotonic() - started
+                assert not client._open  # the connection was discarded
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+            for conn in accepted:
+                conn.close()
+            listener.close()
+        assert not thread.is_alive()
+        assert 0.5 <= elapsed < 1.5
+        assert len(accepted) == 1
+
+    def test_request_sockets_block(self, server_factory, client_factory):
+        server = server_factory(make_runner(), workers=1)
+        client = client_factory(server.url)
+        assert client.healthz() == {"ok": True}
+        [sock] = client._open
+        assert sock.gettimeout() is None
 
 
 def _connect(server, timeout: float = 10.0) -> socket.socket:

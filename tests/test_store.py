@@ -1,5 +1,6 @@
 """Result-store tests (JSON persistence + runner integration)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from repro.config.presets import small_config
 from repro.config.topology import Architecture, ReplicationPolicy
 from repro.experiments.runner import ExperimentRunner, RunKey
 from repro.experiments.store import (
+    SCHEMA_VERSION,
     ResultConflictError,
     ResultStore,
     key_fingerprint,
@@ -64,6 +66,17 @@ class TestSerialization:
         assert restored.cycles == result.cycles
         assert restored.energy.total == pytest.approx(result.energy.total)
         assert restored.tracker == result.tracker
+
+    @pytest.mark.parametrize("arch", list(Architecture))
+    def test_matches_asdict_in_key_order(self, runner, arch):
+        # Store files and the pins in bench/expected.json hash this
+        # dict: it must stay what dataclasses.asdict gave.
+        result = runner.run(RunKey("AN", arch))
+        expected = dataclasses.asdict(result)
+        expected["_schema"] = SCHEMA_VERSION
+        data = result_to_dict(result)
+        assert data == expected
+        assert json.dumps(data) == json.dumps(expected)  # key order too
 
     def test_schema_mismatch_rejected(self, runner):
         result = runner.run(RunKey("KMEANS"))
