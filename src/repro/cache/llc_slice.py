@@ -88,7 +88,7 @@ class LLCSlice(Component):
 
     def accept_local(self, request: MemoryRequest) -> bool:
         """Enqueue a request arriving over the partition link (LMR)."""
-        if not self._awake:
+        if not self._slot.awake:
             self.wake()
         # BoundedQueue.push inlined (one call per delivered request).
         queue = self.lmr
@@ -105,7 +105,7 @@ class LLCSlice(Component):
 
     def accept_remote(self, request: MemoryRequest) -> bool:
         """Enqueue a request arriving over the NoC (RMR)."""
-        if not self._awake:
+        if not self._slot.awake:
             self.wake()
         # BoundedQueue.push inlined (one call per delivered request).
         queue = self.rmr
@@ -123,19 +123,19 @@ class LLCSlice(Component):
     def fill(self, request: MemoryRequest) -> bool:
         """Data returned from memory (or a remote home slice for replica
         misses); releases MSHR waiters when processed."""
-        if not self._awake:
+        if not self._slot.awake:
             self.wake()
         return self.fill_queue.push((self._FILL, request))
 
     def fill_replica(self, line_addr: int) -> bool:
         """Install a read-only replica without waiters (MDR, Section 5.2)."""
-        if not self._awake:
+        if not self._slot.awake:
             self.wake()
         return self.fill_queue.push((self._REPLICA, line_addr))
 
     def invalidate(self, line_addr: int) -> bool:
         """Coherence invalidation (SM-side UBA cross-partition stores)."""
-        if not self._awake:
+        if not self._slot.awake:
             self.wake()
         return self.fill_queue.push((self._INVAL, line_addr))
 

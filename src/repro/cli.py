@@ -907,10 +907,12 @@ def _cmd_worker(args) -> int:
         return 1
     print(f"worker {worker.name}: claiming from {args.url} "
           f"(settings {worker.runner.cache_settings()})", flush=True)
-    try:
-        worker.run(max_points=args.max_points, idle_exit=args.idle_exit)
-    except KeyboardInterrupt:
-        print("worker: interrupted", file=sys.stderr)
+    with worker:
+        try:
+            worker.run(max_points=args.max_points,
+                       idle_exit=args.idle_exit)
+        except KeyboardInterrupt:
+            print("worker: interrupted", file=sys.stderr)
     print(f"worker {worker.name}: {worker.completed} completed, "
           f"{worker.failed} failed, {worker.claimed} claimed")
     return 0

@@ -10,10 +10,11 @@ hand; this checker makes the pairing mechanical:
   queue the component owns (a ``BoundedQueue`` / ``DelayLine`` /
   ``BandwidthLink`` / ``deque`` created in ``__init__``) but contains
   no ``self.wake()`` call.
-* **W002** -- a method tests ``self._awake`` (the hand-inlined guard
-  idiom ``if not self._awake: self.wake()``) but the conditional never
-  calls ``self.wake()`` -- i.e. someone deleted or typo'd the wake but
-  left the guard.
+* **W002** -- a method tests ``self._slot.awake`` (the hand-inlined
+  guard idiom ``if not self._slot.awake: self.wake()``, which reads the
+  awake flag off the component's engine record) but the conditional
+  never calls ``self.wake()`` -- i.e. someone deleted or typo'd the
+  wake but left the guard.
 * **W003** -- the component's ``tick`` can return a *timed deadline*
   (an int: "asleep until cycle X"), and a public ingress method has a
   push site with no ``self.wake()`` reachable from it.  Timed sleepers
@@ -58,6 +59,12 @@ CONTRACT_METHODS = {"tick", "wake", "on_skipped", "__init__", "__repr__"}
 #: Queue-internal accessors that inlined hot paths reach through
 #: (``self.lmr._items.append``, ``link.input`` ...).
 _QUEUE_SUFFIXES = ("._items", ".input", "[]")
+
+#: Canonical chain of the awake flag an inlined guard tests.
+_AWAKE_CHAIN = "self._slot.awake"
+
+#: The inlined guard idiom, quoted in hints.
+_GUARD = "if not self._slot.awake: self.wake()"
 
 
 def _is_component_class(cls: ast.ClassDef) -> bool:
@@ -213,13 +220,13 @@ def _wake_reachable_from(push: ast.Call,
 
 
 def _awake_guards(func: ast.FunctionDef, resolver: Resolver):
-    """``If`` nodes whose test references ``self._awake``."""
+    """``If`` nodes whose test references ``self._slot.awake``."""
     for node in ast.walk(func):
         if not isinstance(node, ast.If):
             continue
         for sub in ast.walk(node.test):
             if (isinstance(sub, ast.Attribute)
-                    and resolver.chain(sub) == "self._awake"):
+                    and resolver.chain(sub) == _AWAKE_CHAIN):
                 yield node
                 break
 
@@ -228,7 +235,7 @@ class WakeSiteChecker(Checker):
     name = "wake-site"
     rules = {
         "W001": "ingress push without a reachable self.wake()",
-        "W002": "self._awake guard that never calls self.wake()",
+        "W002": "self._slot.awake guard that never calls self.wake()",
         "W003": "timed-wakeup component: ingress push site with no "
                 "reachable self.wake()",
     }
@@ -261,11 +268,11 @@ class WakeSiteChecker(Checker):
                 if not _has_self_wake(guard):
                     findings.append(self.finding(
                         module, guard, "W002",
-                        "guard tests self._awake but never calls "
+                        "guard tests self._slot.awake but never calls "
                         "self.wake() -- a sleeping %s stays asleep"
                         % cls.name,
-                        hint="the inlined idiom is `if not self._awake: "
-                             "self.wake()`; restore the wake call",
+                        hint="the inlined idiom is `%s`; restore the "
+                             "wake call" % _GUARD,
                     ))
         # W001: public ingress methods only.
         if func.name.startswith("_") or func.name in CONTRACT_METHODS:
@@ -278,8 +285,8 @@ class WakeSiteChecker(Checker):
                 "%s.%s pushes into a component-owned queue but never "
                 "calls self.wake() -- lost wakeup if the component is "
                 "asleep" % (cls.name, func.name),
-                hint="add `if not self._awake: self.wake()` before the "
-                     "push (see docs/LINT.md#wake-site)",
+                hint="add `%s` before the push (see "
+                     "docs/LINT.md#wake-site)" % _GUARD,
             ))
         # W003: per-push-site reachability for timed sleepers.  A
         # component whose tick returns int deadlines sleeps until the
@@ -295,9 +302,9 @@ class WakeSiteChecker(Checker):
                         "self.wake() -- the sleeping component would "
                         "honour a stale deadline instead of seeing "
                         "this work" % (cls.name, cls.name, func.name),
-                        hint="wake before the push (`if not "
-                             "self._awake: self.wake()`) or "
+                        hint="wake before the push (`%s`) or "
                              "unconditionally after it, before any "
-                             "return (see docs/LINT.md#wake-site)",
+                             "return (see docs/LINT.md#wake-site)"
+                             % _GUARD,
                     ))
         return findings

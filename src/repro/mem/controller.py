@@ -78,7 +78,7 @@ class MemoryController(Component):
         """Accept a demand request or writeback; False when full."""
         if len(self._queue) >= self.queue_capacity:
             return False
-        if not self._awake:
+        if not self._slot.awake:
             self.wake()
         line = request.line_addr
         self._queue.append((request, self.bank_of(line), self.row_of(line)))
@@ -90,7 +90,7 @@ class MemoryController(Component):
         Writebacks must not be dropped, so they are accepted even when the
         queue is nominally full (real controllers reserve writeback slots).
         """
-        if not self._awake:
+        if not self._slot.awake:
             self.wake()
         request = acquire_request(AccessKind.STORE, line_addr, sm_id=-1)
         self._queue.append(

@@ -23,6 +23,9 @@ from repro.sim.engine import Component
 #: A sink accepts a delivered item or returns False (downstream full).
 Sink = Callable[[object], bool]
 
+#: ``_next_due`` while no packet is in the pipeline.
+_NO_ARRIVALS = float("inf")
+
 
 class Crossbar(Component):
     """An N-port crossbar with per-port bandwidth and pipeline latency."""
@@ -55,6 +58,12 @@ class Crossbar(Component):
         # Start one cycle in the past so ports have credit at cycle 0.
         self._out_updated = [-1] * ports
         self._arrivals: Dict[int, Deque[Tuple[int, object]]] = {}
+        #: Earliest head maturity across the non-empty output pipes
+        #: (``_NO_ARRIVALS`` when none).  Every packet matures at its
+        #: transfer cycle plus the fixed latency, so a packet entering
+        #: a non-empty pipeline never lowers it: it is set when the
+        #: first packet enters and recomputed by each delivery.
+        self._next_due = _NO_ARRIVALS
         self._sinks: List[Optional[Sink]] = [None] * ports
         self._active: List[int] = []  # input ports with queued packets
         self._rr_offset = 0
@@ -81,7 +90,7 @@ class Crossbar(Component):
         if not queue:
             self._active.append(src_port)
         queue.append((item, size_bytes, dest_port))
-        if not self._awake:
+        if not self._slot.awake:
             self.wake()
         return True
 
@@ -96,7 +105,10 @@ class Crossbar(Component):
     # ------------------------------------------------------------------
 
     def tick(self, now: int) -> object:
-        if self._arrivals:
+        # Deliver only when a head is due.  A refused head leaves
+        # _next_due in the past, so delivery retries every cycle, as a
+        # tick of every pipe would.
+        if self._next_due <= now:
             self._deliver(now)
         if self._active:
             self._transfer(now)
@@ -108,23 +120,28 @@ class Crossbar(Component):
         # every cycle); otherwise the earliest maturity across the
         # output pipes is a timed wakeup (port credit accrues lazily
         # against absolute cycles, so the elided ticks mutate nothing).
-        arrivals = self._arrivals
-        if not arrivals:
+        if not self._arrivals:
             return True
-        deadline = min(pipe[0][0] for pipe in arrivals.values())
-        return deadline
+        return self._next_due
 
     def _deliver(self, now: int) -> None:
-        for dest in list(self._arrivals):
-            pipe = self._arrivals[dest]
+        arrivals = self._arrivals
+        next_due = _NO_ARRIVALS
+        for dest in list(arrivals):
+            pipe = arrivals[dest]
             sink = self._sinks[dest]
             while pipe and pipe[0][0] <= now:
                 if sink is None or sink(pipe[0][1]):
                     pipe.popleft()
                 else:
                     break  # head-of-line blocking at this output
-            if not pipe:
-                del self._arrivals[dest]
+            if pipe:
+                due = pipe[0][0]
+                if due < next_due:
+                    next_due = due
+            else:
+                del arrivals[dest]
+        self._next_due = next_due
 
     def _out_budget(self, dest: int, now: int) -> float:
         """Lazily accrue output-port credit."""
@@ -150,7 +167,7 @@ class Crossbar(Component):
         # Rotate the service order for fairness.
         self._rr_offset = (self._rr_offset + 1) % max(1, len(active))
         offset = self._rr_offset
-        order = active[offset:] + active[:offset]
+        order = active[offset:] + active[:offset] if offset else active
         in_queues = self._in_queues
         in_credit = self._in_credit
         out_credit = self._out_credit
@@ -188,6 +205,8 @@ class Crossbar(Component):
                 queue.popleft()
                 pipe = arrivals.get(dest)
                 if pipe is None:
+                    if not arrivals:
+                        self._next_due = now + latency
                     pipe = deque()
                     arrivals[dest] = pipe
                 pipe.append((now + latency, item))

@@ -51,7 +51,7 @@ class PartitionLinks(Component):
 
     def send_request(self, request: MemoryRequest) -> bool:
         """Queue a request on the SM-to-LLC direction."""
-        if not self._awake:
+        if not self._slot.awake:
             self.wake()
         # Direct table probe == request.request_bytes (hot path).
         size = _KIND_REQUEST_BYTES[request.kind]
@@ -66,7 +66,7 @@ class PartitionLinks(Component):
 
     def send_reply(self, request: MemoryRequest) -> bool:
         """Queue a reply on the LLC-to-SM direction."""
-        if not self._awake:
+        if not self._slot.awake:
             self.wake()
         # Direct table probe == request.reply_bytes (hot path).
         size = _KIND_REPLY_BYTES[request.kind]

@@ -9,8 +9,9 @@ memory controllers) dominates.
 
 Profiling is strictly opt-in: an unprofiled simulator calls component
 ``tick`` methods directly with zero indirection. ``attach`` swaps the
-entries of ``Simulator.components`` for timing proxies and ``detach``
-restores the originals, so the cost exists only while measuring.
+``tick`` and ``on_skipped`` callables on each component's engine record
+for timing wrappers and ``detach`` restores the originals, so the cost
+exists only while measuring. ``Simulator.components`` is never touched.
 
 Usage::
 
@@ -27,23 +28,25 @@ from typing import Dict, List
 
 
 class _TickProxy:
-    """Stand-in that times one component's ``tick`` calls.
+    """Times one component's ``tick`` calls and counts its skips.
 
-    The proxy is transparent to the engine's activity contract: the
-    awake flag and sleep bookkeeping live on the wrapped component
-    (ingress ``wake()`` calls land there, since routing sinks hold
-    references to the real component), so ``_awake``/``_idle_since``/
-    ``_wake_at`` delegate, and ``wake``/``on_skipped`` forward.  A
-    profiled run therefore skips exactly the ticks an unprofiled run
-    would -- profiling no longer forces every component back onto the
-    hot path -- and the proxy counts the skips it is told about.
+    :meth:`TickProfiler.attach` installs :meth:`tick` and
+    :meth:`on_skipped` on the component's engine record in place of the
+    component's own.  The awake flag and sleep bookkeeping stay on the
+    record, where ingress ``wake()`` calls land too, so a profiled run
+    skips exactly the ticks an unprofiled run would, and the proxy
+    counts the skips it is told about.
     """
 
-    __slots__ = ("inner", "name", "ticks", "seconds", "skipped")
+    __slots__ = ("slot", "name", "inner_tick", "inner_on_skipped", "ticks",
+                 "seconds", "skipped")
 
-    def __init__(self, inner) -> None:
-        self.inner = inner
-        self.name = inner.name
+    def __init__(self, slot) -> None:
+        self.slot = slot
+        self.name = slot.component.name
+        #: The record's callables before wrapping (restored on detach).
+        self.inner_tick = slot.tick
+        self.inner_on_skipped = slot.on_skipped
         self.ticks = 0
         self.seconds = 0.0
         #: Strict-mode ticks the engine elided for this component.
@@ -56,51 +59,17 @@ class _TickProxy:
         unchanged so timed wakeups survive profiling.
         """
         start = time.perf_counter()
-        verdict = self.inner.tick(now)
+        verdict = self.inner_tick(now)
         self.seconds += time.perf_counter() - start
         self.ticks += 1
         return verdict
 
-    # -- activity contract (delegated to the wrapped component) --------
-
-    @property
-    def _awake(self) -> bool:
-        return self.inner._awake
-
-    @_awake.setter
-    def _awake(self, value: bool) -> None:
-        self.inner._awake = value
-
-    @property
-    def _idle_since(self) -> int:
-        return self.inner._idle_since
-
-    @_idle_since.setter
-    def _idle_since(self, value: int) -> None:
-        self.inner._idle_since = value
-
-    @property
-    def _wake_at(self) -> float:
-        return self.inner._wake_at
-
-    @_wake_at.setter
-    def _wake_at(self, value: float) -> None:
-        self.inner._wake_at = value
-
-    @property
-    def tracer(self):
-        return self.inner.tracer
-
-    @tracer.setter
-    def tracer(self, value) -> None:
-        self.inner.tracer = value
-
-    def wake(self) -> None:
-        self.inner.wake()
-
     def on_skipped(self, cycles: int) -> None:
+        """Count elided ticks; forward them to the component's hook."""
         self.skipped += cycles
-        self.inner.on_skipped(cycles)
+        hook = self.inner_on_skipped
+        if hook is not None:
+            hook(cycles)
 
 
 class TickProfiler:
@@ -109,24 +78,28 @@ class TickProfiler:
     def __init__(self, sim) -> None:
         self.sim = sim
         self._proxies: List[_TickProxy] = []
-        self._originals: List[object] = []
+        self._attached = False
 
     @classmethod
     def attach(cls, sim) -> "TickProfiler":
         """Wrap every currently registered component of a simulator."""
         profiler = cls(sim)
-        profiler._originals = list(sim.components)
-        profiler._proxies = [
-            _TickProxy(component) for component in sim.components
-        ]
-        sim.components[:] = profiler._proxies
+        for component in sim.components:
+            slot = component._slot
+            proxy = _TickProxy(slot)
+            slot.tick = proxy.tick
+            slot.on_skipped = proxy.on_skipped
+            profiler._proxies.append(proxy)
+        profiler._attached = True
         return profiler
 
     def detach(self) -> None:
-        """Restore the unwrapped components (idempotent)."""
-        if self._originals:
-            self.sim.components[:] = self._originals
-            self._originals = []
+        """Restore the unwrapped callables (idempotent)."""
+        if self._attached:
+            for proxy in self._proxies:
+                proxy.slot.tick = proxy.inner_tick
+                proxy.slot.on_skipped = proxy.inner_on_skipped
+            self._attached = False
 
     # ------------------------------------------------------------------
     # Results.

@@ -130,7 +130,7 @@ class ExecutorBackend:
             backend.abandon(expired)    # timeout path; False = rebuild
             backend.restart()           # after a lost completion
         backend.cancel()                # cooperative stop tripped
-        backend.close()                 # always, in a finally
+        backend.close()                 # always, even after a failed start
 
     Implementations keep *no* retry bookkeeping -- attempts, budgets
     and re-queueing live in the orchestrator so semantics cannot drift
@@ -521,7 +521,6 @@ class RemoteExecutor(ExecutorBackend):
                 continue
             remote = stats.get("settings")
             if remote is not None and dict(remote) != dict(local):
-                self._close_clients()
                 raise BackendError(
                     f"endpoint {self.endpoints[index]} runs settings "
                     f"{remote}, local runner has {local}; results would "
@@ -529,7 +528,6 @@ class RemoteExecutor(ExecutorBackend):
                 )
             self._alive[index] = True
         if not any(self._alive):
-            self._close_clients()
             raise BackendError(
                 "no live endpoints: " + "; ".join(problems)
             )

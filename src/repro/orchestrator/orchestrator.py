@@ -304,6 +304,9 @@ class SweepOrchestrator:
         try:
             backend.start()
         except BackendError as exc:
+            # close() always runs (the ExecutorBackend lifecycle): a
+            # start that got part way may hold sockets or processes.
+            backend.close()
             self.progress.note(f"{backend.name} backend unavailable "
                                f"({exc}); running inline")
             report.mode = "inline"

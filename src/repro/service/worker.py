@@ -75,6 +75,20 @@ class ServiceWorker:
                                   **runner_kwargs)
         return cls(url, runner, **kwargs)
 
+    def close(self) -> None:
+        """Close the client's connections (idempotent).
+
+        The server then frees the handler thread that served this
+        worker's persistent connection.
+        """
+        self.client.close()
+
+    def __enter__(self) -> "ServiceWorker":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     def check_settings(self) -> None:
         """Refuse to run against a settings-mismatched service."""
         remote = self.client.stats().get("settings")

@@ -38,22 +38,32 @@ maintains an *activity contract*:
   a min-heap of deadlines and re-wakes it at the deadline cycle, so
   the component is ticked at the first cycle a strict-mode tick would
   have done real work.  Each component keeps at most one live heap
-  entry, at the earliest deadline it asked for (``_wake_at``); a later
-  verdict adds nothing, and a popped entry that no longer matches
-  ``_wake_at`` is dropped.  An ingress ``wake()`` leaves the entry in
-  place, so it can cause one early tick -- and an early tick is the
-  tick strict mode runs at that cycle, so results stay identical.
+  entry, at the earliest deadline it asked for (``wake_at`` on its
+  record); a later verdict adds nothing, and a popped entry that no
+  longer matches ``wake_at`` is dropped.  An ingress ``wake()`` leaves
+  the entry in place, so it can cause one early tick -- and an early
+  tick is the tick strict mode runs at that cycle, so results stay
+  identical.
 * Components whose skipped ticks would have advanced per-cycle
-  counters (an SM counts stall cycles even when fully blocked)
-  implement :meth:`Component.on_skipped`; the engine reports the exact
+  counters (an SM counts stall cycles even when fully blocked) define
+  an ``on_skipped(cycles)`` method; the engine reports the exact
   number of skipped cycles before the next tick, before any clock hook
   fires, and before ``run``/``run_until`` return, so every observation
-  point sees counters identical to strict mode's.
+  point sees counters identical to strict mode's.  Components without
+  such counters leave ``on_skipped`` at ``None`` and cost no call.
 * When *every* component is asleep, ``run``/``run_until`` fast-forward
   the clock to ``min(next wakeup deadline, next hook deadline)`` (or
   the chunk/run end) instead of stepping cycle by cycle; hooks due at
   the landing cycle fire before the re-woken components tick there,
   preserving strict mode's end-of-cycle hook ordering.
+
+The engine keeps this state in one slotted record per component
+(:class:`_Slot`: the bound ``tick``, the ``on_skipped`` hook, the awake
+flag, the first unticked cycle and the live deadline), not on the
+components.  The hot loop then reads the same attributes of the same
+type at every site, which CPython 3.11 specializes once; reading them
+off five component classes kept those loads on the generic path
+(docs/PERFORMANCE.md, "Monomorphic hot paths").
 
 ``Simulator(strict=True)`` disables all of this and ticks every
 component every cycle -- the escape hatch for debugging a suspected
@@ -87,33 +97,68 @@ _NEVER = float("inf")
 _MIN_TIMED_SLEEP = 2
 
 
+class _Slot:
+    """The engine's record of one component.
+
+    Holds everything the cycle loop reads per component: the component,
+    its bound ``tick``, its ``on_skipped`` hook (``None`` when it has
+    none), the awake flag, the first cycle it did not tick and the
+    deadline of its live timed-wakeup heap entry.  One class for every
+    component keeps the loop's attribute loads on CPython's specialized
+    paths.  :class:`Component` creates its record, :meth:`Simulator.add`
+    binds ``tick`` and ``on_skipped``, and a profiler may swap both for
+    timed wrappers (:mod:`repro.obs.profiler`).
+    """
+
+    __slots__ = ("component", "tick", "on_skipped", "awake", "idle_since",
+                 "wake_at")
+
+    def __init__(self, component: "Component") -> None:
+        self.component = component
+        #: The callable the engine ticks (set by :meth:`Simulator.add`).
+        self.tick: Optional[Callable[[int], object]] = None
+        #: Skip-accounting hook, or None when skips need no replay.
+        self.on_skipped: Optional[Callable[[int], None]] = None
+        #: False while the engine is skipping this component.
+        self.awake = True
+        #: First cycle this component did not tick (-1 = none pending);
+        #: the engine uses it to report exact skip counts.
+        self.idle_since = -1
+        #: Deadline of the live timed-wakeup heap entry (``_NEVER`` =
+        #: none).  Heap entries at any other deadline are stale and
+        #: dropped when popped.
+        self.wake_at = _NEVER
+
+
 class Component:
     """Base class for everything that does per-cycle work.
 
-    The activity contract is three methods: :meth:`tick` returns the
-    verdict, :meth:`wake` re-activates after an external event, and
-    :meth:`on_skipped` reproduces per-cycle counters of elided ticks.
-    A ``tick`` that returns nothing never sleeps, which keeps arbitrary
-    components correct.
+    The activity contract is :meth:`tick`, which returns the verdict,
+    :meth:`wake`, which re-activates after an external event, and an
+    optional ``on_skipped(cycles)`` method, which reproduces per-cycle
+    counters of elided ticks.  A ``tick`` that returns nothing never
+    sleeps, which keeps arbitrary components correct.  The engine's
+    bookkeeping for the component lives on its record, ``_slot``.
     """
 
     #: Shared disabled tracer; replaced per instance when a run is
     #: traced (:meth:`repro.obs.tracer.Tracer.bind`).
     tracer: Tracer = NULL_TRACER
 
+    #: ``on_skipped(cycles)`` accounts ``cycles`` skipped ticks: the
+    #: exact number of strict-mode ticks the engine elided since the
+    #: component went to sleep (or since the last report).  Define it
+    #: when the quiescent tick would still have advanced per-cycle
+    #: counters; ``None`` tells the engine there is nothing to replay.
+    on_skipped: Optional[Callable[[int], None]] = None
+
     def __init__(self, name: str) -> None:
         self.name = name
         #: Owning simulator (set by :meth:`Simulator.add`).
         self._sim: Optional["Simulator"] = None
-        #: False while the engine is skipping this component.
-        self._awake = True
-        #: First cycle this component did not tick (-1 = none pending);
-        #: the engine uses it to report exact skip counts.
-        self._idle_since = -1
-        #: Deadline of this component's live timed-wakeup heap entry
-        #: (``_NEVER`` = none).  Heap entries at any other deadline are
-        #: stale and dropped when popped.
-        self._wake_at = _NEVER
+        #: The engine's record of this component.  Created here so
+        #: :meth:`wake` works before registration.
+        self._slot = _Slot(self)
         #: Pre-created per instance (shadowing the class default) so
         #: :meth:`~repro.obs.tracer.Tracer.bind` replaces an existing
         #: ``__dict__`` key instead of growing the dict of every hot
@@ -135,7 +180,7 @@ class Component:
         hold at the end of their tick.  The promise must hold
         *exactly*: a component whose strict-mode tick would mutate any
         state (even a counter) while asleep must either stay awake or
-        reproduce the mutation in :meth:`on_skipped`.  A tick earlier
+        reproduce the mutation in ``on_skipped``.  A tick earlier
         than promised is always safe -- it is the tick strict mode
         runs at that cycle.  Deadlines due within
         ``_MIN_TIMED_SLEEP`` cycles keep the component awake.  Note
@@ -148,21 +193,17 @@ class Component:
     # -- activity contract --------------------------------------------
 
     def wake(self) -> None:
-        """Re-activate after an external event (idempotent, cheap)."""
-        if not self._awake:
-            self._awake = True
+        """Re-activate after an external event (idempotent, cheap).
+
+        Hot ingress paths test the record's ``awake`` flag inline and
+        call this only when it is clear (lint rule W002).
+        """
+        slot = self._slot
+        if not slot.awake:
+            slot.awake = True
             sim = self._sim
             if sim is not None:
                 sim._n_asleep -= 1
-
-    def on_skipped(self, cycles: int) -> None:
-        """Account ``cycles`` skipped ticks.
-
-        Called with the exact number of strict-mode ticks the engine
-        elided since the component went to sleep (or since the last
-        ``on_skipped`` report).  Override when the quiescent tick would
-        still have advanced per-cycle counters.
-        """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"
@@ -178,7 +219,10 @@ class Simulator:
     def __init__(self, stats: Optional[StatsRegistry] = None,
                  strict: bool = False) -> None:
         self.cycle = 0
+        #: Registered components, in tick order (the public registry).
         self.components: List[Component] = []
+        #: Their engine records, in the same order (what the loop reads).
+        self._slots: List[_Slot] = []
         self.stats = stats if stats is not None else StatsRegistry()
         self.tracer: Tracer = NULL_TRACER
         self.strict = strict
@@ -195,9 +239,9 @@ class Simulator:
         #: Earliest pending hook fire (cached so the hot loop checks
         #: one number instead of scanning the hook list every cycle).
         self._next_hook = _NEVER
-        #: Timed-wakeup min-heap of (deadline, seq, component); the seq
+        #: Timed-wakeup min-heap of (deadline, seq, record); the seq
         #: tiebreaker keeps tuples comparable.  At most one entry per
-        #: component is live (see Component._wake_at).
+        #: component is live (see _Slot.wake_at).
         self._wakeups: List[tuple] = []
         self._wakeup_seq = 0
         #: Earliest pending deadline (cached like _next_hook; may be
@@ -206,11 +250,19 @@ class Simulator:
         self._next_wakeup = _NEVER
 
     def add(self, component: Component) -> Component:
-        """Register a component; returns it for chaining."""
+        """Register a component; returns it for chaining.
+
+        Binds the component's ``tick`` and ``on_skipped`` to its record
+        and registers it awake, so it ticks on the next cycle.
+        """
         component._sim = self
-        if not component._awake:
-            component._awake = True
-            component._idle_since = -1
+        slot = component._slot
+        slot.tick = component.tick
+        slot.on_skipped = component.on_skipped
+        if not slot.awake:
+            slot.awake = True
+            slot.idle_since = -1
+        self._slots.append(slot)
         self.components.append(component)
         return component
 
@@ -246,21 +298,23 @@ class Simulator:
         """
         now = self.cycle
         if self.strict:
-            for component in self.components:
-                component.tick(now)
+            for slot in self._slots:
+                slot.tick(now)
         else:
             if self._next_wakeup <= now:
                 self._wake_due(now)
             n_slept = 0
-            for component in self.components:
-                if component._awake:
-                    since = component._idle_since
+            for slot in self._slots:
+                if slot.awake:
+                    since = slot.idle_since
                     if since >= 0:
                         if now > since:
                             self.skipped_ticks += now - since
-                            component.on_skipped(now - since)
-                        component._idle_since = -1
-                    asleep = component.tick(now)
+                            on_skipped = slot.on_skipped
+                            if on_skipped is not None:
+                                on_skipped(now - since)
+                        slot.idle_since = -1
+                    asleep = slot.tick(now)
                     if asleep:
                         if asleep is not True:
                             # Timed wakeup: an int deadline ("asleep
@@ -270,16 +324,15 @@ class Simulator:
                             # it (one early tick at worst).
                             if asleep - now < _MIN_TIMED_SLEEP:
                                 continue
-                            if asleep < component._wake_at:
-                                component._wake_at = asleep
+                            if asleep < slot.wake_at:
+                                slot.wake_at = asleep
                                 seq = self._wakeup_seq + 1
                                 self._wakeup_seq = seq
-                                heappush(self._wakeups,
-                                         (asleep, seq, component))
+                                heappush(self._wakeups, (asleep, seq, slot))
                                 if asleep < self._next_wakeup:
                                     self._next_wakeup = asleep
-                        component._awake = False
-                        component._idle_since = now + 1
+                        slot.awake = False
+                        slot.idle_since = now + 1
                         n_slept += 1
             if n_slept:
                 self._n_asleep += n_slept
@@ -291,9 +344,9 @@ class Simulator:
         """Re-activate every component whose deadline has arrived.
 
         Pops due heap entries; an entry is live only while its deadline
-        matches the component's ``_wake_at`` -- anything else was
+        matches its record's ``wake_at`` -- anything else was
         superseded by an earlier deadline.  A live entry clears
-        ``_wake_at`` and wakes the component if it is still asleep.
+        ``wake_at`` and wakes the component if it is still asleep.
         Skip accounting is NOT flushed here: the woken component flows
         through the normal ``step`` path, which reports the exact
         elided-tick count via ``on_skipped`` before the next tick.
@@ -301,11 +354,11 @@ class Simulator:
         heap = self._wakeups
         n_woken = 0
         while heap and heap[0][0] <= now:
-            deadline, _, component = heappop(heap)
-            if component._wake_at == deadline:
-                component._wake_at = _NEVER
-                if not component._awake:
-                    component._awake = True
+            deadline, _, slot = heappop(heap)
+            if slot.wake_at == deadline:
+                slot.wake_at = _NEVER
+                if not slot.awake:
+                    slot.awake = True
                     n_woken += 1
         if n_woken:
             self._n_asleep -= n_woken
@@ -332,12 +385,14 @@ class Simulator:
         before hook callbacks and when ``run``/``run_until`` return.
         """
         cycle = self.cycle
-        for component in self.components:
-            since = component._idle_since
+        for slot in self._slots:
+            since = slot.idle_since
             if 0 <= since < cycle:
                 self.skipped_ticks += cycle - since
-                component.on_skipped(cycle - since)
-                component._idle_since = cycle
+                on_skipped = slot.on_skipped
+                if on_skipped is not None:
+                    on_skipped(cycle - since)
+                slot.idle_since = cycle
 
     def _fast_forward(self, limit: int) -> None:
         """Jump the clock while every component sleeps.
@@ -373,7 +428,7 @@ class Simulator:
             for _ in range(cycles):
                 step()
             return
-        n_components = len(self.components)
+        n_components = len(self._slots)
         while self.cycle < end:
             if self._n_asleep == n_components:
                 self._fast_forward(end)
@@ -397,7 +452,7 @@ class Simulator:
         deadline = self.cycle + max_cycles
         step = self.step
         strict = self.strict
-        n_components = len(self.components)
+        n_components = len(self._slots)
         while self.cycle < deadline:
             chunk_end = self.cycle + check_period
             if chunk_end > deadline:

@@ -78,6 +78,7 @@ _cache_clearers: List[Callable[[], None]] = []
 #: purpose: adding a flag-gated optimisation and registering the
 #: classes it touches happen in the same diff.
 HOT_CLASSES = (
+    "repro.sim.engine:_Slot",
     "repro.sim.queues:BoundedQueue",
     "repro.sim.queues:DelayLine",
     "repro.sim.queues:BandwidthLink",

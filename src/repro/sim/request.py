@@ -43,6 +43,14 @@ class AccessKind(enum.Enum):
     #: the old value, and is never replicated (read-write by definition).
     ATOMIC = "atomic"
 
+    #: Members are singletons compared by identity, so the identity hash
+    #: agrees with equality (and survives pickling, which returns the
+    #: same members).  ``Enum.__hash__`` hashes the member name in
+    #: Python on every kind-keyed table probe (``_KIND_REQUEST_BYTES``,
+    #: the instruction interning keys); this one is a C slot.  String
+    #: hashes already vary per process, so no ordering guarantee is lost.
+    __hash__ = object.__hash__
+
     @property
     def is_load(self) -> bool:
         """True for accesses whose reply carries data back to the warp."""

@@ -64,6 +64,9 @@ class SMCore(Component):
         super().__init__(f"sm{sm_id}")
         self.sm_id = sm_id
         self.gpu = gpu
+        #: ``gpu.lines_per_page`` read once (a property on a frozen
+        #: config), not once per memory instruction.
+        self._lines_per_page = gpu.lines_per_page
         self.l1 = l1
         self.mmu = mmu
         self.request_sink = request_sink
@@ -125,7 +128,7 @@ class SMCore(Component):
             1, self.gpu.sm.warps_per_sm // cta_source.warps_per_cta
         )
         self._refill_ctas()
-        if not self._awake:
+        if not self._slot.awake:
             self.wake()
 
     def _refill_ctas(self) -> None:
@@ -173,7 +176,7 @@ class SMCore(Component):
 
     def deliver_reply(self, request: MemoryRequest) -> bool:
         """Accept a memory reply from the interconnect."""
-        if not self._awake:
+        if not self._slot.awake:
             self.wake()
         # BoundedQueue.push inlined (one call per reply).
         queue = self._replies
@@ -477,7 +480,7 @@ class SMCore(Component):
             kind = AccessKind.LOAD_RO
         is_store = kind is AccessKind.STORE
         translate = self.mmu.translate
-        lines_per_page = self.gpu.lines_per_page
+        lines_per_page = self._lines_per_page
         lsu = self._lsu
         heappush = heapq.heappush
         seq = self._lsu_seq

@@ -80,9 +80,11 @@ class Region:
 # offsets; every warp yields the same ``Compute(n)``).  MemAccess and
 # Compute are frozen dataclasses and consumers only ever read their
 # fields, so sharing one object per distinct value is observationally
-# identical to building a fresh one each time.  Keys use the Region
-# itself (frozen, value-hashable) so equal slabs from different CTAs
-# share entries.  The start offset is normalised modulo the region
+# identical to building a fresh one each time.  Keys spell out the
+# Region's fields (name, base page, pages) so equal slabs from
+# different CTAs share entries: the same equality classes as keying on
+# the frozen Region, without its generated Python-level ``__hash__``
+# on every probe.  The start offset is normalised modulo the region
 # span first: ``line_target`` wraps per element, so ``start % span``
 # yields exactly the same target tuple.
 # ----------------------------------------------------------------------
@@ -100,7 +102,7 @@ def _clear_interned() -> None:
 def _vaccess(kind: AccessKind, region: Region,
              start: int, count: int) -> MemAccess:
     start %= region.pages * LINES_PER_PAGE
-    key = (kind, region, start, count)
+    key = (kind, region.name, region.base_page, region.pages, start, count)
     instr = _mem_interned.get(key)
     if instr is None:
         targets = tuple(region.line_target(start + k) for k in range(count))

@@ -129,9 +129,10 @@ def test_untraced_runs_match_too() -> None:
 
 
 def test_profiled_run_still_skips_and_matches() -> None:
-    """TickProfiler proxies must honor the activity contract: wrapped
-    components still sleep (the proxies count the elided ticks) and the
-    profiled run stays bit-identical to strict."""
+    """TickProfiler's record wrappers must honor the activity
+    contract: wrapped components still sleep (the wrappers count the
+    elided ticks) and the profiled run stays bit-identical to
+    strict."""
     key = CONFIGS[0].values[0]
     s_result, s_stats, s_events, s_cycle, _, _ = _run(key, strict=True)
     q_result, q_stats, q_events, q_cycle, _, profiler = _run(
@@ -174,6 +175,16 @@ class _Sleeper(Component):
 
     def on_skipped(self, cycles: int) -> None:
         self.cycles_seen += cycles
+
+
+class _Idle(Component):
+    """Sleeps after its first tick and has no skip hook."""
+
+    def __init__(self) -> None:
+        super().__init__("idle")
+
+    def tick(self, now: int) -> bool:
+        return True
 
 
 @pytest.mark.parametrize("strict", [True, False])
@@ -224,14 +235,31 @@ def test_wake_reactivates_a_sleeping_component() -> None:
     sim = Simulator()
     sleeper = sim.add(_Sleeper())
     sim.run(10)
-    assert sleeper._awake is False
+    assert sleeper._slot.awake is False
     sleeper.wake()
+    assert sleeper._slot.awake is True
     assert sim._n_asleep == 0
     before = sleeper.cycles_seen
     sim.step()
     sim.sync()
     # The woken component really ticked (tick, not on_skipped, ran).
     assert sleeper.cycles_seen == before + 1
+
+
+def test_component_woken_before_add_ticks_on_the_first_cycle() -> None:
+    """The record exists from construction, so an ingress wake()
+    before registration is harmless, and add() registers the component
+    awake: it ticks at cycle 0."""
+    sleeper = _Sleeper()
+    sleeper.wake()
+    assert sleeper._slot.awake is True
+    sim = Simulator()
+    sim.add(sleeper)
+    assert sim._n_asleep == 0
+    sim.step()
+    assert sleeper.cycles_seen == 1
+    assert sleeper._slot.awake is False  # its verdict put it to sleep
+    assert sim._n_asleep == 1
 
 
 def test_strict_mode_never_skips() -> None:
@@ -279,6 +307,19 @@ def test_timed_wakeup_ticks_only_at_deadlines() -> None:
     assert sim.cycle == 100
 
 
+def test_components_without_a_skip_hook_still_count_skips() -> None:
+    """``on_skipped`` is optional: the engine calls it only where a
+    component defines it, and counts every elided tick either way."""
+    sim = Simulator()
+    quiet = sim.add(_TimedSleeper(stride=10))
+    plain = sim.add(_Idle())
+    assert plain._slot.on_skipped is None
+    assert quiet._slot.on_skipped == quiet.on_skipped
+    sim.run(100)
+    assert quiet.skipped == 90
+    assert sim.skipped_ticks == 90 + 99
+
+
 def test_deadline_within_one_cycle_keeps_component_awake() -> None:
     """``now + 1`` is the next tick anyway: sleeping would only add
     heap traffic, so the engine keeps the component awake."""
@@ -296,7 +337,8 @@ def test_wake_before_deadline_costs_at_most_one_early_tick() -> None:
     sim = Simulator()
     sleeper = sim.add(_TimedSleeper(stride=50))
     sim.run(10)  # ticked at 0, asleep until 50
-    assert sleeper._awake is False
+    assert sleeper._slot.awake is False
+    assert sleeper._slot.wake_at == 50
     sleeper.wake()
     sim.run(60)  # ticks at 10 (deadline 60 > live entry 50), then 50
     assert sleeper.tick_cycles == [0, 10, 50]
@@ -356,7 +398,7 @@ def test_run_until_clamps_when_deadline_overshoots_the_limit() -> None:
 
 
 def test_profiled_timed_sleeper_still_sleeps() -> None:
-    """TickProfiler proxies pass the timed verdict through."""
+    """TickProfiler's record wrappers pass the timed verdict through."""
     sim = Simulator()
     sleeper = sim.add(_TimedSleeper(stride=10))
     profiler = TickProfiler.attach(sim)

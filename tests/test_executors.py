@@ -20,6 +20,7 @@ import pytest
 from repro.experiments.runner import ExperimentRunner, RunKey
 from repro.experiments.store import ResultStore, key_fingerprint
 from repro.orchestrator import (
+    BackendError,
     Backpressure,
     Completion,
     ExecutorBackend,
@@ -272,7 +273,35 @@ class _ScriptedBackend(ExecutorBackend):
         return True
 
 
+class _RefusingBackend(ExecutorBackend):
+    """Fails to start; records every close()."""
+
+    name = "refusing"
+
+    def __init__(self):
+        self.closes = 0
+
+    def start(self):
+        raise BackendError("scripted: transport down")
+
+    def close(self):
+        self.closes += 1
+
+
 class TestProtocolSemantics:
+    def test_failed_start_still_closes_the_backend(self):
+        """close() always runs, also when start() raised: the sweep
+        degrades to inline and completes, and the backend was closed
+        exactly once."""
+        backend = _RefusingBackend()
+        orchestrator = SweepOrchestrator(make_runner(), workers=1,
+                                         backend=backend, backoff=0.0)
+        report = orchestrator.run(tiny_sweep())
+        assert report.ok
+        assert report.mode == "inline"
+        assert len(report.results) == 3
+        assert backend.closes == 1
+
     def test_backpressure_pauses_without_charging_attempts(self):
         backend = _ScriptedBackend(backpressure_once=True)
         orchestrator = SweepOrchestrator(make_runner(), workers=1,

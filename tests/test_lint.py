@@ -45,7 +45,7 @@ WAKE_OK = """
             self.inbox = BoundedQueue(4, name="in")
 
         def deliver(self, item):
-            if not self._awake:
+            if not self._slot.awake:
                 self.wake()
             return self.inbox.push(item)
 """
@@ -58,13 +58,22 @@ class TestWakeChecker:
 
     def test_push_without_wake_is_w001(self):
         source = WAKE_OK.replace(
-            "if not self._awake:\n                self.wake()\n"
+            "if not self._slot.awake:\n                self.wake()\n"
             "            ", "")
         result = _lint("src/repro/sim/fx.py", source, [WakeSiteChecker()])
         assert "W001" in _rules(result)
 
     def test_guard_without_wake_call_is_w002(self):
         source = WAKE_OK.replace("self.wake()", "pass")
+        result = _lint("src/repro/sim/fx.py", source, [WakeSiteChecker()])
+        assert "W002" in _rules(result)
+
+    def test_hoisted_record_guard_without_wake_is_w002(self):
+        # The guard reads the flag through a local alias of the record.
+        source = WAKE_OK.replace(
+            "if not self._slot.awake:\n                self.wake()",
+            "slot = self._slot\n            if not slot.awake:\n"
+            "                pass")
         result = _lint("src/repro/sim/fx.py", source, [WakeSiteChecker()])
         assert "W002" in _rules(result)
 
@@ -148,7 +157,7 @@ TIMED_OK = """
             self._busy_until = 0
 
         def deliver(self, item):
-            if not self._awake:
+            if not self._slot.awake:
                 self.wake()
             return self.inbox.push(item)
 
@@ -171,12 +180,12 @@ class TestTimedWakeChecker:
         # wake unconditionally before the method can return.
         source = TIMED_OK.replace(
             """def deliver(self, item):
-            if not self._awake:
+            if not self._slot.awake:
                 self.wake()
             return self.inbox.push(item)""",
             """def deliver(self, item):
             self.inbox._items.append(item)
-            if not self._awake:
+            if not self._slot.awake:
                 self.wake()
             return True""")
         result = _lint("src/repro/sim/fx.py", source, [WakeSiteChecker()])
@@ -188,7 +197,7 @@ class TestTimedWakeChecker:
         # without waking a timed sleeper.
         source = TIMED_OK.replace(
             """def deliver(self, item):
-            if not self._awake:
+            if not self._slot.awake:
                 self.wake()
             return self.inbox.push(item)""",
             """def deliver(self, item):
@@ -204,7 +213,7 @@ class TestTimedWakeChecker:
 
     def test_missing_wake_in_timed_component_is_both_rules(self):
         source = TIMED_OK.replace(
-            "if not self._awake:\n                self.wake()\n"
+            "if not self._slot.awake:\n                self.wake()\n"
             "            ", "")
         result = _lint("src/repro/sim/fx.py", source, [WakeSiteChecker()])
         rules = _rules(result)
@@ -216,7 +225,7 @@ class TestTimedWakeChecker:
         # presence-based approximation accepts the method).
         source = TIMED_OK.replace(
             """def deliver(self, item):
-            if not self._awake:
+            if not self._slot.awake:
                 self.wake()
             return self.inbox.push(item)""",
             """def deliver(self, item):

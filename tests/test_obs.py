@@ -24,7 +24,7 @@ from repro.obs.export import (
     load_timeline_csv,
     write_chrome_trace,
 )
-from repro.obs.profiler import TickProfiler, _TickProxy
+from repro.obs.profiler import TickProfiler
 from repro.obs.timeline import GLOBAL_FIELDS, TimelineCollector
 from repro.obs.tracer import NULL_TRACER, TraceEvent, Tracer
 from repro.sim.engine import Component, Simulator
@@ -250,21 +250,29 @@ class TestTickProfiler:
         assert "tick profile" in profiler.report()
 
     def test_detach_restores_components(self):
+        """The profiler wraps each engine record's callables; the
+        registry itself is never swapped, and detach restores the
+        record's own tick and hook."""
         sim = Simulator()
         busy = sim.add(self._Busy("busy0"))
+        slot = busy._slot
+        tick = slot.tick
         profiler = TickProfiler.attach(sim)
-        assert sim.components[0] is not busy
+        assert sim.components == [busy]
+        assert slot.tick != tick
         profiler.detach()
-        assert sim.components[0] is busy
+        assert slot.tick == tick
+        assert slot.on_skipped is None  # _Busy has no skip hook
         profiler.detach()  # idempotent
-        assert sim.components[0] is busy
+        assert slot.tick == tick
 
 
 class TestTickProfilerActivityContract:
-    """The proxy must forward the full activity contract (``wake`` and
-    ``on_skipped`` plus the ``_awake``/``_idle_since``/``_wake_at``
-    bookkeeping), otherwise a profiled run skips different ticks than
-    an unprofiled one and diverges."""
+    """The profiler wraps the ``tick`` and ``on_skipped`` of each
+    component's engine record.  The awake flag and the sleep
+    bookkeeping stay on the record, where ingress ``wake()`` calls land
+    too, so a profiled run skips exactly the ticks an unprofiled run
+    skips."""
 
     class _Sleeper(Component):
         """Sleeps whenever its inbox drains; accounts quiet cycles both
@@ -278,7 +286,7 @@ class TestTickProfilerActivityContract:
             self.quiet_cycles = 0
 
         def deliver(self, item):
-            if not self._awake:
+            if not self._slot.awake:
                 self.wake()
             self.inbox.append(item)
 
@@ -296,29 +304,34 @@ class TestTickProfilerActivityContract:
         def on_skipped(self, cycles):
             self.quiet_cycles += cycles
 
-    def test_proxy_forwards_full_activity_contract(self):
-        comp = self._Sleeper("s")
-        proxy = _TickProxy(comp)
-        # wake() reaches the wrapped component
-        comp._awake = False
-        proxy.wake()
-        assert comp._awake is True
-        # on_skipped forwards (and the proxy keeps its own skip counter
-        # for the report)
-        proxy.on_skipped(7)
+    def test_record_wrappers_forward_activity_contract(self):
+        sim = Simulator()
+        comp = sim.add(self._Sleeper("s"))
+        plain = sim.add(TestTickProfiler._Busy("busy0"))
+        profiler = TickProfiler.attach(sim)
+        proxy, plain_proxy = profiler._proxies
+        # on_skipped reaches the component, and the proxy counts the
+        # skips for the report
+        comp._slot.on_skipped(7)
         assert comp.quiet_cycles == 7
         assert proxy.skipped == 7
-        # engine-side bookkeeping lands on the wrapped component
-        proxy._awake = False
-        assert comp._awake is False
-        proxy._idle_since = 42
-        assert comp._idle_since == 42 and proxy._idle_since == 42
-        proxy._wake_at = 90
-        assert comp._wake_at == 90 and proxy._wake_at == 90
-        # tracer rebinding passes through
-        sentinel = object()
-        proxy.tracer = sentinel
-        assert comp.tracer is sentinel and proxy.tracer is sentinel
+        # a component without a hook is counted, and nothing forwards
+        plain._slot.on_skipped(3)
+        assert plain_proxy.skipped == 3
+        # the wrapped tick times the component's tick and passes the
+        # verdict through
+        assert comp._slot.tick(0) is True
+        assert comp.ticks == 1 and proxy.ticks == 1
+        profiler.detach()
+        assert comp._slot.on_skipped == comp.on_skipped
+        assert plain._slot.on_skipped is None
+
+    def test_tracer_binds_to_profiled_components(self):
+        _, system = _nuba_system()
+        TickProfiler.attach(system.sim)
+        tracer = Tracer.attach(system)
+        assert all(component.tracer is tracer
+                   for component in system.sim.components)
 
     def _run(self, profiled):
         sim = Simulator()
@@ -326,8 +339,7 @@ class TestTickProfilerActivityContract:
         profiler = TickProfiler.attach(sim) if profiled else None
 
         def feeder(cycle):
-            # external events land on the real component (routing sinks
-            # hold references to it, not to the proxy)
+            # external events land on the component and its record
             if cycle in (100, 300):
                 for _ in range(5):
                     comp.deliver(object())
@@ -344,8 +356,19 @@ class TestTickProfilerActivityContract:
         assert comp_p.quiet_cycles == comp_u.quiet_cycles
         assert sim_p.skipped_ticks == sim_u.skipped_ticks > 0
         # the proxy was told about every elided tick
-        proxy = sim_p.components[0]
+        [proxy] = profiler._proxies
         assert proxy.skipped == sim_p.skipped_ticks
+        assert proxy.ticks == comp_p.ticks
+        assert profiler.total_seconds > 0
+
+    def test_profiled_strict_run_is_timed(self):
+        sim = Simulator(strict=True)
+        comp = sim.add(self._Sleeper("s"))
+        profiler = TickProfiler.attach(sim)
+        sim.run(50)
+        [proxy] = profiler._proxies
+        assert comp.ticks == proxy.ticks == 50
+        assert proxy.skipped == 0
         assert profiler.total_seconds > 0
 
 

@@ -13,6 +13,22 @@ from repro.sim.request import (
 )
 
 
+class TestAccessKindHash:
+    def test_kind_keyed_dict_survives_pickling(self):
+        """Members hash by identity; unpickling returns the same
+        members, so a pickled kind-keyed table still answers probes."""
+        import pickle
+
+        from repro.sim.request import _KIND_REPLY_BYTES
+
+        table = pickle.loads(pickle.dumps(dict(_KIND_REPLY_BYTES)))
+        assert table == _KIND_REPLY_BYTES
+        for kind in AccessKind:
+            assert pickle.loads(pickle.dumps(kind)) is kind
+            assert table[kind] == _KIND_REPLY_BYTES[kind]
+        assert hash(AccessKind.LOAD) == object.__hash__(AccessKind.LOAD)
+
+
 class TestPacketSizes:
     """Section 6: 8 B read requests, 16 B writes, 136 B replies."""
 

@@ -163,15 +163,22 @@ def coordinator_server(coordinator_factory, tmp_path):
     server.stop(shutdown_manager=False)
 
 
+@pytest.fixture
+def client(coordinator_server):
+    """A client of the coordinator, closed after the test."""
+    with ServiceClient(coordinator_server.url) as client:
+        yield client
+
+
 class TestServiceWorkerHTTP:
-    def test_worker_drains_job_end_to_end(self, coordinator_server):
-        client = ServiceClient(coordinator_server.url)
+    def test_worker_drains_job_end_to_end(self, coordinator_server,
+                                          client):
         job = client.submit(points=[(None, key)
                                     for key in TINY_SWEEP_KEYS])
-        worker = ServiceWorker.from_service(coordinator_server.url,
-                                            base_gpu=tiny_gpu(),
-                                            poll_seconds=0.05)
-        executed = worker.run(max_points=3)
+        with ServiceWorker.from_service(coordinator_server.url,
+                                        base_gpu=tiny_gpu(),
+                                        poll_seconds=0.05) as worker:
+            executed = worker.run(max_points=3)
         assert executed == 3
         assert worker.completed == 3 and worker.failed == 0
         payload = client.result(job["id"], wait=10.0)
@@ -183,45 +190,57 @@ class TestServiceWorkerHTTP:
             assert encoded["cycles"] == reference.run(key).cycles
 
     def test_worker_failure_consumes_retry_budget(self,
-                                                  coordinator_server):
-        client = ServiceClient(coordinator_server.url)
+                                                  coordinator_server,
+                                                  client):
         job = client.submit(points=[(None, RunKey("NOPE"))])
-        worker = ServiceWorker.from_service(coordinator_server.url,
-                                            base_gpu=tiny_gpu(),
-                                            poll_seconds=0.05)
-        # retries=1: attempt, requeue, attempt, permanent failure.
-        assert worker.run(max_points=2) == 2
+        with ServiceWorker.from_service(coordinator_server.url,
+                                        base_gpu=tiny_gpu(),
+                                        poll_seconds=0.05) as worker:
+            # retries=1: attempt, requeue, attempt, permanent failure.
+            assert worker.run(max_points=2) == 2
         assert worker.failed == 2
         info = client.job(job["id"])
         assert info["state"] == "failed"
 
-    def test_worker_adopts_service_settings(self, coordinator_server):
-        worker = ServiceWorker.from_service(coordinator_server.url,
-                                            base_gpu=tiny_gpu())
-        server_settings = ServiceClient(
-            coordinator_server.url).stats()["settings"]
-        assert dict(worker.runner.cache_settings()) == \
-            dict(server_settings)
-        worker.check_settings()  # must not raise
+    def test_worker_adopts_service_settings(self, coordinator_server,
+                                            client):
+        server_settings = client.stats()["settings"]
+        with ServiceWorker.from_service(coordinator_server.url,
+                                        base_gpu=tiny_gpu()) as worker:
+            assert dict(worker.runner.cache_settings()) == \
+                dict(server_settings)
+            worker.check_settings()  # must not raise
 
     def test_check_settings_rejects_mismatch(self, coordinator_server):
         mismatched = ExperimentRunner(base_gpu=tiny_gpu(),
                                       mdr_epoch=123)
-        worker = ServiceWorker(coordinator_server.url, mismatched)
-        with pytest.raises(SettingsMismatchError):
-            worker.check_settings()
+        with ServiceWorker(coordinator_server.url, mismatched) as worker:
+            with pytest.raises(SettingsMismatchError):
+                worker.check_settings()
 
     def test_idle_worker_exits_on_idle_timeout(self,
                                                coordinator_server):
+        with ServiceWorker.from_service(coordinator_server.url,
+                                        base_gpu=tiny_gpu(),
+                                        poll_seconds=0.05) as worker:
+            assert worker.run(idle_exit=0.2) == 0
+
+    def test_close_releases_the_connection(self, coordinator_server):
+        """A closed worker holds no socket, so the server can free the
+        handler thread that served it; close is idempotent."""
         worker = ServiceWorker.from_service(coordinator_server.url,
                                             base_gpu=tiny_gpu(),
                                             poll_seconds=0.05)
-        assert worker.run(idle_exit=0.2) == 0
+        assert worker.run(idle_exit=0.1) == 0
+        assert worker.client._open
+        with worker:
+            pass
+        assert not worker.client._open
+        worker.close()
 
-    def test_claims_api_validates_payloads(self, coordinator_server):
+    def test_claims_api_validates_payloads(self, client):
         from repro.service import ServiceError
 
-        client = ServiceClient(coordinator_server.url)
         client.submit(points=[(None, RunKey("KMEANS"))])
         claim = client.claim("w1")
         assert claim is not None and claim["claimed"]
@@ -283,6 +302,8 @@ class TestDistributedAcceptance:
             stop.set()
             for thread in threads:
                 thread.join(timeout=5)
+            for worker in workers:
+                worker.close()
             server.stop()
 
         assert report.ok
