@@ -8,23 +8,10 @@ kernel boundaries (Section 5.3).
 
 from __future__ import annotations
 
-import enum
-from typing import List
-
-from repro.cache.mshr import MSHRFile, MSHROutcome
+from repro.cache.mshr import MSHRFile
 from repro.cache.sram import CacheArray
 from repro.config.gpu import CacheConfig
 from repro.sim.request import MemoryRequest
-
-
-class L1Outcome(enum.Enum):
-    HIT = "hit"
-    #: New miss; the request must be sent to the LLC.
-    MISS_NEW = "miss-new"
-    #: Merged into an in-flight miss; no downstream traffic.
-    MISS_MERGED = "miss-merged"
-    #: MSHR file full; the warp must retry.
-    STALL = "stall"
 
 
 class L1Cache:
@@ -41,31 +28,12 @@ class L1Cache:
         self.stores = 0
         self.flushes = 0
 
-    def access_load(self, request: MemoryRequest) -> L1Outcome:
-        """Look up a load; allocates an MSHR entry on a miss."""
-        if self.array.lookup(request.line_addr):
-            self.load_hits += 1
-            request.hit_level = "l1"
-            return L1Outcome.HIT
-        outcome = self.mshr.allocate(request)
-        if outcome is MSHROutcome.FULL:
-            return L1Outcome.STALL
-        self.load_misses += 1
-        if outcome is MSHROutcome.MERGED:
-            return L1Outcome.MISS_MERGED
-        return L1Outcome.MISS_NEW
-
     def access_store(self, request: MemoryRequest) -> None:
         """Write through: update the line if present (no allocate)."""
         self.stores += 1
         # Write-through keeps a present line valid and up to date; the
         # line stays clean because the LLC receives the data too.
         self.array.lookup(request.line_addr)
-
-    def fill(self, line_addr: int) -> List[MemoryRequest]:
-        """Install a returned line and release all merged waiters."""
-        self.array.install(line_addr, dirty=False)
-        return self.mshr.release(line_addr)
 
     def flush(self) -> None:
         """Invalidate all lines (software coherence, kernel boundary)."""

@@ -31,7 +31,10 @@ class MSHRFile:
             raise ValueError("MSHR file needs at least one entry")
         self.entries = entries
         self.name = name
-        self._pending: Dict[int, List[MemoryRequest]] = {}
+        #: line -> waiters.  An LLC entry lists requests.  An L1 entry
+        #: (driven inline by ``SMCore``) holds the carried request
+        #: followed by the warps of the loads merged into it.
+        self._pending: Dict[int, list] = {}
         self.allocations = 0
         self.merges = 0
         self.stalls = 0

@@ -132,7 +132,7 @@ class MemoryRequest:
     # Statistics.
     issue_cycle: int = 0
     complete_cycle: int = -1
-    hit_level: str = ""  # "l1", "llc", "mem"
+    hit_level: str = ""  # "llc", "mem"
 
     # Completion callback, set by the SM when the request is created.
     on_complete: Optional[Callable[["MemoryRequest"], None]] = None
@@ -181,9 +181,9 @@ class MemoryRequest:
 # millions per run); recycling them at retirement removes the
 # allocation/GC pressure.  Equivalence argument: ``acquire`` resets
 # every field to exactly what the dataclass constructor would produce
-# and draws a fresh ``req_id`` from the *shared* counter, so the id
-# stream -- which appears in tracer events -- is identical whether or
-# not the pool is on.  Release happens only at retirement points where
+# and takes its ``req_id`` from the *shared* counter, so the id stream
+# -- which appears in tracer events -- is identical whether or not the
+# pool is on.  Release happens only at retirement points where
 # no component holds a reference any more (SM load/atomic completion,
 # LLC store write-validate, MC writeback scheduling).
 # ----------------------------------------------------------------------
@@ -197,19 +197,22 @@ _POOL_LIMIT = 8192
 
 
 def acquire(kind: AccessKind, line_addr: int, sm_id: int,
-            vpage: Optional[int] = None) -> MemoryRequest:
+            vpage: Optional[int] = None,
+            req_id: Optional[int] = None) -> MemoryRequest:
     """A fresh request, recycled from the pool when one is available.
 
-    NOTE: ``repro.sm.core.SMCore._issue_mem`` inlines this body on the
-    issue hot path -- keep the field resets there in sync when the
-    dataclass changes.
+    ``req_id`` is an id reserved earlier from the shared counter (the
+    SM reserves one per line at issue); ``None`` draws the next one,
+    as the constructor does.
     """
+    if req_id is None:
+        req_id = next(_req_ids)
     if _pool:
         request = _pool.pop()
         request.kind = kind
         request.line_addr = line_addr
         request.sm_id = sm_id
-        request.req_id = next(_req_ids)
+        request.req_id = req_id
         request.vpage = vpage
         request.home_slice = -1
         request.home_channel = -1
@@ -224,7 +227,7 @@ def acquire(kind: AccessKind, line_addr: int, sm_id: int,
         request.hit_level = ""
         request.on_complete = None
         return request
-    return MemoryRequest(kind, line_addr, sm_id, vpage=vpage)
+    return MemoryRequest(kind, line_addr, sm_id, req_id, vpage)
 
 
 def release(request: MemoryRequest) -> None:

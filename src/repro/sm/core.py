@@ -7,9 +7,12 @@ Each cycle the SM:
 3. issues up to two instructions (one per GTO scheduler, Table 1).
 
 Memory instructions go through address translation (per-SM MMU), then the
-L1 data cache; misses are handed to the system router (``request_sink``)
-which implements the architecture-specific path (crossbar for UBA, local
-links or NoC for NUBA).
+L1 data cache, one coalesced line at a time. A line becomes a
+:class:`~repro.sim.request.MemoryRequest` only when it leaves the SM (a
+primary L1 miss, a store or an atomic); those are handed to the system
+router (``request_sink``) which implements the architecture-specific
+path (crossbar for UBA, local links or NoC for NUBA). L1 hits and loads
+merged into an in-flight miss complete by returning to their warp.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from repro.sim import request as _request_mod
 from repro.sim.request import (
     AccessKind,
     MemoryRequest,
+    acquire as acquire_request,
     release as release_request,
 )
 from repro.sm.cta import CTA, DistributedCTAScheduler
@@ -32,9 +36,16 @@ from repro.sm.scheduler import GTOScheduler
 from repro.sm.warp import Barrier, Compute, MemAccess, Warp
 from repro.vm.tlb import MMU
 
-#: Maximum requests waiting for translation/L1 before memory issue stalls
+#: Maximum lines waiting for translation/L1 before memory issue stalls
 #: (models a finite load-store unit queue).
 LSU_QUEUE_LIMIT = 48
+
+#: The load-store unit holds lines, not requests: each LSU heap entry is
+#: ``(ready_at, seq, line_addr, vpage, req_id, kind, issue_cycle,
+#: warp)``, where ``warp`` is ``None`` for a store (stores never block
+#: their warp).  ``req_id`` is reserved at issue, so request ids follow
+#: issue order whether or not the line ever leaves the SM.
+LSUEntry = Tuple[int, int, int, int, int, AccessKind, int, Optional[Warp]]
 
 #: How often (cycles) the SM scans for retired CTAs to refill.
 CTA_REFILL_PERIOD = 8
@@ -73,15 +84,18 @@ class SMCore(Component):
         self.schedulers = [
             GTOScheduler(i) for i in range(gpu.sm.warp_schedulers)
         ]
-        self._lsu: List[Tuple[int, int, MemoryRequest]] = []  # ready heap
+        self._lsu: List[LSUEntry] = []  # ready heap
         self._lsu_seq = 0
+        #: ``translate`` latency of an L1 TLB hit (a repeated page).
+        self._tlb_hit_latency = mmu.config.l1_latency
         self._out: BoundedQueue[MemoryRequest] = BoundedQueue(
             64, name=f"{self.name}.out"
         )
         self._replies: BoundedQueue[MemoryRequest] = BoundedQueue(
             64, name=f"{self.name}.replies"
         )
-        self._hit_returns: DelayLine[MemoryRequest] = DelayLine(l1.latency)
+        #: L1 load hits on their way back: ``(due, warp)``.
+        self._hit_returns: DelayLine[Warp] = DelayLine(l1.latency)
         self._cta_source: Optional[DistributedCTAScheduler] = None
         self._active_ctas: List[CTA] = []
         self._launch_at = 0
@@ -202,15 +216,16 @@ class SMCore(Component):
             self._drain_replies(now)
         hit_returns = self._hit_returns._items
         if hit_returns and hit_returns[0][0] <= now:
+            completed = 0
             while hit_returns and hit_returns[0][0] <= now:
-                request = hit_returns.popleft()[1]
-                # == request.complete(now), inlined on the hit path.
-                request.complete_cycle = now
-                callback = request.on_complete
-                if callback is not None:
-                    callback(request)
-                self.loads_completed += 1
-                release_request(request)
+                warp = hit_returns.popleft()[1]
+                # == warp.load_returned(), inlined on the hit path.
+                if warp.outstanding <= 0:
+                    raise RuntimeError(
+                        "load return for a warp with none in flight")
+                warp.outstanding -= 1
+                completed += 1
+            self.loads_completed += completed
         if self._out._items:
             self._drain_out()
         if self._lsu:
@@ -286,10 +301,19 @@ class SMCore(Component):
             scheduler.idle_cycles += cycles
 
     def _drain_replies(self, now: int) -> None:
+        """Complete atomics; fill the L1 with returned lines.
+
+        ``CacheArray.install`` and ``MSHRFile.release`` are inlined.
+        The write-through L1 never holds a dirty line, so an eviction
+        needs no victim record.  An L1 MSHR entry holds the carried
+        request followed by the warps of the loads merged into it.
+        """
         replies = self._replies._items
-        l1 = self.l1
-        array_install = l1.array.install
-        mshr_release = l1.mshr.release
+        array = self.l1.array
+        sets = array._sets
+        num_sets = array.sets
+        ways = array.ways
+        mshr_pending = self.l1.mshr._pending
         completed = 0
         while replies:
             request = replies.popleft()
@@ -303,19 +327,31 @@ class SMCore(Component):
                 completed += 1
                 release_request(request)
                 continue
-            # == l1.fill(line_addr), inlined.  The carried reply
-            # request is itself on the MSHR waiter list, so releasing
-            # every waiter retires it too.
             line_addr = request.line_addr
-            array_install(line_addr, dirty=False)
-            for waiter in mshr_release(line_addr):
-                # == waiter.complete(now), inlined.
-                waiter.complete_cycle = now
-                callback = waiter.on_complete
-                if callback is not None:
-                    callback(waiter)
-                completed += 1
-                release_request(waiter)
+            line_set = sets[line_addr % num_sets]
+            if line_addr in line_set:
+                line_set.move_to_end(line_addr)
+            else:
+                if len(line_set) >= ways:
+                    line_set.popitem(last=False)
+                    array.evictions += 1
+                line_set[line_addr] = False
+            waiters = mshr_pending.pop(line_addr, None)
+            if waiters is None:
+                raise KeyError(f"no MSHR entry for line 0x{line_addr:x}")
+            carried = waiters[0]
+            carried.complete_cycle = now
+            callback = carried.on_complete
+            if callback is not None:
+                callback(carried)
+            release_request(carried)
+            for warp in waiters[1:]:
+                # == warp.load_returned(), inlined.
+                if warp.outstanding <= 0:
+                    raise RuntimeError(
+                        "load return for a warp with none in flight")
+                warp.outstanding -= 1
+            completed += len(waiters)
         self.loads_completed += completed
 
     def _drain_out(self) -> None:
@@ -337,14 +373,14 @@ class SMCore(Component):
                 )
 
     def _access_l1(self, now: int) -> None:
-        """Up to two L1 port accesses per cycle for translated requests.
+        """Up to two L1 port accesses per cycle for translated lines.
 
         ``BoundedQueue.push`` on the miss queue, ``DelayLine.push`` on
-        the hit-return line and ``L1Cache.access_load`` are inlined:
-        the loop-top capacity check already guarantees space for this
-        iteration's single push, and the load path (one call per
-        coalesced line) replicates ``access_load`` branch for branch so
-        hit/miss accounting stays exact.
+        the hit-return line, ``CacheArray.lookup`` and
+        ``MSHRFile.allocate`` are inlined, with their accounting: the
+        loop-top capacity check already guarantees space for this
+        iteration's single push.  A load hit or a merge never leaves
+        the SM, so it builds no request.
         """
         lsu = self._lsu
         out = self._out
@@ -352,7 +388,9 @@ class SMCore(Component):
         hit_items = self._hit_returns._items
         hit_delay = self._hit_returns.delay
         l1 = self.l1
-        array_lookup = l1.array.lookup
+        array = l1.array
+        sets = array._sets
+        num_sets = array.sets
         mshr = l1.mshr
         mshr_pending = mshr._pending
         heappop = heapq.heappop
@@ -362,43 +400,54 @@ class SMCore(Component):
             occupancy = len(out_items)
             if occupancy >= out.capacity:
                 return  # cannot emit misses; try again next cycle
-            ready_at, seq, request = heappop(lsu)
-            kind = request.kind
+            (_, seq, line_addr, vpage, req_id, kind, issue_cycle,
+             warp) = heappop(lsu)
             if kind is AccessKind.STORE:
+                request = acquire_request(kind, line_addr, self.sm_id,
+                                          vpage, req_id)
+                request.issue_cycle = issue_cycle
                 l1.access_store(request)
             elif kind is AccessKind.ATOMIC:
                 # Atomics bypass the L1 and execute at the LLC
                 # (Section 5.3); any cached copy becomes stale.
-                l1.array.invalidate(request.line_addr)
+                array.invalidate(line_addr)
+                request = acquire_request(kind, line_addr, self.sm_id,
+                                          vpage, req_id)
+                request.issue_cycle = issue_cycle
+                request.on_complete = warp.load_cb
             else:
-                # == l1.access_load(request), inlined -- including the
-                # MSHR allocate, whose accounting (merges/stalls/
-                # allocations/peak) mirrors MSHRFile.allocate exactly.
-                line_addr = request.line_addr
-                if array_lookup(line_addr):
+                line_set = sets[line_addr % num_sets]
+                if line_addr in line_set:
+                    line_set.move_to_end(line_addr)
+                    array.hits += 1
                     l1.load_hits += 1
-                    request.hit_level = "l1"
-                    hit_items.append((now + hit_delay, request))
+                    hit_items.append((now + hit_delay, warp))
                     continue
+                array.misses += 1
                 waiters = mshr_pending.get(line_addr)
                 if waiters is not None:
-                    waiters.append(request)
+                    waiters.append(warp)
                     mshr.merges += 1
                     l1.load_misses += 1
-                    continue  # fill will complete the waiter
+                    continue  # the fill returns the load to its warp
                 mshr_occupancy = len(mshr_pending)
                 if mshr_occupancy >= mshr.entries:
                     # L1 MSHRs full: retry shortly.
                     mshr.stalls += 1
-                    heapq.heappush(lsu, (now + 4, seq, request))
+                    heapq.heappush(lsu, (now + 4, seq, line_addr, vpage,
+                                         req_id, kind, issue_cycle, warp))
                     return
+                request = acquire_request(kind, line_addr, self.sm_id,
+                                          vpage, req_id)
+                request.issue_cycle = issue_cycle
+                request.on_complete = warp.load_cb
                 mshr_pending[line_addr] = [request]
                 mshr.allocations += 1
                 mshr_occupancy += 1
                 if mshr_occupancy > mshr.peak_occupancy:
                     mshr.peak_occupancy = mshr_occupancy
                 l1.load_misses += 1
-                # A new miss falls through to the shared miss enqueue.
+                # A primary miss falls through to the shared enqueue.
             out_items.append(request)
             out.total_pushed += 1
             occupancy += 1
@@ -479,49 +528,34 @@ class SMCore(Component):
         if kind is AccessKind.LOAD and instr.space in self._read_only_spaces:
             kind = AccessKind.LOAD_RO
         is_store = kind is AccessKind.STORE
-        translate = self.mmu.translate
+        owner = None if is_store else warp
+        mmu = self.mmu
+        translate = mmu.translate
+        tlb = mmu.l1
+        tlb_hit_at = now + self._tlb_hit_latency
         lines_per_page = self._lines_per_page
         lsu = self._lsu
         heappush = heapq.heappush
         seq = self._lsu_seq
-        sm_id = self.sm_id
-        load_cb = None if is_store else warp.load_cb
-        count = 0
-        # ``request.acquire`` inlined (one call per coalesced line):
-        # the field resets mirror the dataclass constructor exactly,
-        # except that ``issue_cycle``/``on_complete`` skip the default
-        # store because they are assigned real values right away.  The
-        # pool list and id counter are re-read from the module each
-        # call so fastlane resets and test reseeds stay visible.
-        pool = _request_mod._pool
+        # Re-read from the module so test reseeds stay visible.
         req_ids = _request_mod._req_ids
+        page = frame = -1
         for vpage, line_in_page in instr.targets:
-            ready_at, frame = translate(vpage, now)
-            line_addr = frame * lines_per_page + line_in_page
-            if pool:
-                request = pool.pop()
-                request.kind = kind
-                request.line_addr = line_addr
-                request.sm_id = sm_id
-                request.req_id = next(req_ids)
-                request.vpage = vpage
-                request.home_slice = -1
-                request.home_channel = -1
-                request.owner_slice = -1
-                request.src_partition = -1
-                request.home_partition = -1
-                request.is_local = False
-                request.is_replica_access = False
-                request.is_reply = False
-                request.complete_cycle = -1
-                request.hit_level = ""
+            if vpage == page:
+                # Every translate path leaves this page's key as the L1
+                # TLB's most recent entry, and nothing inside one issue
+                # bumps the translation generation, so translating it
+                # again would be an order-neutral L1 TLB hit.
+                tlb.hits += 1
+                ready_at = tlb_hit_at
             else:
-                request = MemoryRequest(kind, line_addr, sm_id, vpage=vpage)
-            request.issue_cycle = now
-            request.on_complete = load_cb
-            count += 1
+                ready_at, frame = translate(vpage, now)
+                page = vpage
             seq += 1
-            heappush(lsu, (ready_at, seq, request))
+            line_addr = frame * lines_per_page + line_in_page
+            heappush(lsu, (ready_at, seq, line_addr, vpage, next(req_ids),
+                           kind, now, owner))
+        count = len(instr.targets)
         self._lsu_seq = seq
         if is_store:
             self.stores_issued += count

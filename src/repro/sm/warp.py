@@ -90,9 +90,10 @@ class Warp:
         self.sched_index = 0
         #: True while the warp waits at a CTA barrier (Section 5.3).
         self.at_barrier = False
-        #: Pre-bound completion callback: issuing creates one request per
-        #: coalesced line, and binding ``load_returned`` freshly for each
-        #: allocated a method object per request.
+        #: Pre-bound completion callback of the requests this warp's
+        #: loads and atomics send out of the SM; binding
+        #: ``load_returned`` per request would allocate a method object
+        #: each time.
         self.load_cb = self.load_returned
 
     def is_ready(self, now: int) -> bool:

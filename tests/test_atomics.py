@@ -9,6 +9,7 @@ from repro.config.topology import Architecture, ReplicationPolicy, TopologySpec
 from repro.core.builders import build_system
 from repro.sim.request import AccessKind, MemoryRequest
 from repro.workloads.suite import get_benchmark
+from tests.sm_harness import SMHarness, atomic, load
 
 
 class TestRequestMetadata:
@@ -116,14 +117,15 @@ class TestEndToEnd:
         assert "counters" not in kernel.read_only_spaces
 
     def test_atomic_invalidates_l1_copy(self):
-        from repro.cache.l1 import L1Cache, L1Outcome
-        from repro.config.gpu import CacheConfig as CC
-        from repro.sm.core import SMCore  # noqa: F401 (behavioural doc)
-        l1 = L1Cache(0, CC(sets=4, ways=2, mshr_entries=8))
-        l1.access_load(MemoryRequest(AccessKind.LOAD, 5, sm_id=0))
-        l1.fill(5)
-        # The SM core invalidates on atomic issue; emulate and verify
-        # the stale copy is gone.
-        l1.array.invalidate(5)
-        outcome = l1.access_load(MemoryRequest(AccessKind.LOAD, 5, sm_id=0))
-        assert outcome is L1Outcome.MISS_NEW
+        """An atomic bypasses the L1 and drops its cached copy of the
+        line, so the next load of that line misses again."""
+        h = SMHarness([[load((5, 0)), atomic((5, 0)), load((5, 0))]])
+        h.run_until(lambda: h.sent)
+        h.reply(h.sent[0])  # the line is now in the L1
+        h.run_until(lambda: len(h.sent) == 2)
+        assert h.sent_kinds() == [AccessKind.LOAD, AccessKind.ATOMIC]
+        h.reply(h.sent[1])  # the old value returns
+        h.run_until(lambda: len(h.sent) == 3)
+        assert h.sent_kinds() == [AccessKind.LOAD, AccessKind.ATOMIC,
+                                  AccessKind.LOAD]
+        assert h.l1.load_hits == 0

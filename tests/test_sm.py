@@ -228,3 +228,154 @@ class TestBarriers:
         assert not warp.is_ready(0)
         warp.at_barrier = False
         assert warp.is_ready(0)
+
+
+class TestLinesInTheLSU:
+    """The load-store unit works on lines: only a line that leaves the
+    SM (a primary miss, a store or an atomic) becomes a request."""
+
+    def test_hit_and_merge_complete_without_a_request(self, monkeypatch):
+        import repro.sm.core as core_mod
+        from repro.sim.request import acquire
+        from tests.sm_harness import SMHarness, atomic, load, store
+
+        built = []
+
+        def spy(*args):
+            built.append(args[0])
+            return acquire(*args)
+
+        monkeypatch.setattr(core_mod, "acquire_request", spy)
+        # Warp 1's line misses first (warp 0 walks the page table) and
+        # warp 0's merges into it; after the fill warp 0 hits.
+        h = SMHarness([[load((3, 0)), load((3, 0))], [load((3, 0))],
+                       [store((4, 0)), atomic((4, 1))]])
+        h.run(500)
+        assert h.l1.mshr.merges == 1
+        assert sorted(kind.value for kind in built) == [
+            "atomic", "load", "store"]
+        fill_tick = h.cycle
+        for request, (kind, _, _) in zip(h.sent, h.log):
+            if kind.value != "store":  # stores get no reply at the SM
+                h.reply(request)
+        h.run(1)
+        # The carried load and the merged one complete at the fill
+        # tick; warp 0 issues its next load in that same tick.
+        first, carried = h.warps[:2]
+        assert carried.outstanding == 0
+        assert first.instructions_issued == 2
+        done = h.run_until(lambda: first.outstanding == 0)
+        # Issue at the fill tick, a 1-cycle TLB hit, a 1-cycle L1 hit.
+        assert done == fill_tick + 2
+        assert h.l1.load_hits == 1
+        assert len(built) == len(h.sent) == 3
+        assert h.sm.loads_completed == 4  # three load lines, one atomic
+
+    def test_requests_built_equal_lines_that_leave(self, monkeypatch):
+        """On a whole PVC run (loads, stores, atomics): one request per
+        primary miss, store and atomic line, none for hits or merges."""
+        import repro.sm.core as core_mod
+        from repro.config.topology import Architecture
+        from repro.experiments.runner import ExperimentRunner, RunKey
+        from repro.sim.request import acquire
+        from repro.workloads.suite import get_benchmark
+
+        calls = []
+
+        def spy(*args):
+            calls.append(1)
+            return acquire(*args)
+
+        monkeypatch.setattr(core_mod, "acquire_request", spy)
+        runner = ExperimentRunner(base_gpu=small_config(num_channels=2))
+        system = runner.build(RunKey("PVC", Architecture.NUBA))
+        workload = get_benchmark("PVC").instantiate(system.gpu)
+        system.run_workload(workload)
+        primary = stores = atomics = lines = 0
+        for sm in system.sms:
+            l1 = sm.l1
+            primary += l1.mshr.allocations
+            stores += sm.stores_issued
+            atomics += sm.loads_issued - l1.load_hits - l1.load_misses
+            lines += sm.loads_issued + sm.stores_issued
+        assert atomics > 0
+        assert len(calls) == primary + stores + atomics
+        assert len(calls) < lines
+
+    def test_load_return_underflow_still_raises(self):
+        from repro.sim.request import AccessKind, acquire
+        from tests.sm_harness import SMHarness
+
+        h = SMHarness([[Compute(1)]])
+        warp = h.warps[0]
+        h.sm._hit_returns._items.append((0, warp))
+        with pytest.raises(RuntimeError, match="none in flight"):
+            h.run(1)
+        # A merged waiter released by a fill is checked the same way.
+        h = SMHarness([[Compute(1)]])
+        warp = h.warps[0]
+        request = acquire(AccessKind.LOAD, 7, 0)
+        h.l1.mshr._pending[7] = [request, warp]
+        h.reply(request)
+        with pytest.raises(RuntimeError, match="none in flight"):
+            h.run(1)
+
+    def test_one_translate_per_same_page_run(self):
+        """Translating a page once per run of same-page targets leaves
+        the TLB counters and every LSU ready cycle exactly as a
+        translate per line on a twin MMU would."""
+        from tests.sm_harness import IdentityDriver, SMHarness, load, make_mmu
+
+        # Page 3 is mapped (its first line walks the page table); page
+        # 8 is first touched (walk plus fault); page 3 comes back.
+        targets = ((3, 0), (3, 1), (3, 2), (8, 0), (8, 5), (3, 3), (3, 4))
+        h = SMHarness([[load(*targets)]], mapped={3})
+        translated = []
+        translate = h.mmu.translate
+
+        def counting(vpage, now):
+            translated.append(vpage)
+            return translate(vpage, now)
+
+        h.mmu.translate = counting
+        h.run(1)
+        driver = IdentityDriver()
+        driver.mapped.add(3)
+        twin = make_mmu(h.gpu, driver)
+        expected = [twin.translate(vpage, 0) for vpage, _ in targets]
+        entries = sorted(h.sm._lsu, key=lambda entry: entry[1])
+        assert [entry[0] for entry in entries] == [
+            ready for ready, _ in expected]
+        assert [entry[2] for entry in entries] == [
+            h.line(frame, line)
+            for (_, frame), (_, line) in zip(expected, targets)]
+        assert (h.mmu.l1.hits, h.mmu.l1.misses) == (twin.l1.hits,
+                                                    twin.l1.misses)
+        assert h.mmu.page_faults == twin.page_faults == 1
+        assert translated == [3, 8, 3]
+
+    @pytest.mark.parametrize("queued, replays", [(48, False), (49, True)])
+    def test_lsu_limit_counts_lines(self, queued, replays):
+        """An instruction replays when more than ``LSU_QUEUE_LIMIT``
+        lines wait in the LSU, however many instructions they came
+        from."""
+        from repro.sm.core import LSU_QUEUE_LIMIT
+        from tests.sm_harness import SMHarness, load, store
+
+        assert LSU_QUEUE_LIMIT == 48
+        # Stores to cold pages: every line walks the page table and
+        # faults, so none reaches the L1 for hundreds of cycles.
+        first = store(*[(page, 0) for page in range(100, 132)])
+        second = store(*[(page, 0) for page in range(200, 200 + queued - 32)])
+        probe = load((300, 0))
+        h = SMHarness([[first, second, probe]])
+        h.run(3)
+        warp = h.warps[0]
+        assert (warp.stalled_instr is probe) == replays
+        if replays:
+            assert len(h.sm._lsu) == queued
+            assert warp.instructions_issued == 2
+            assert h.sm.loads_issued == 0
+        else:
+            assert len(h.sm._lsu) == queued + 1
+            assert h.sm.loads_issued == 1
