@@ -331,8 +331,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="worker name shown in service stats "
                              "(default host-pid)")
     worker.add_argument("--channels", type=int, default=None,
-                        help="simulate a smaller GPU; MUST match the "
-                             "server's --channels")
+                        help="simulate a smaller GPU; must match the "
+                             "server's --channels (else the worker "
+                             "refuses)")
     worker.add_argument("--store", default=None, metavar="DIR",
                         help="optional local result store (doubles as "
                              "a cache for repeated points)")
@@ -890,7 +891,11 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_worker(args) -> int:
-    from repro.service import ServiceError, ServiceWorker
+    from repro.service import (
+        ServiceError,
+        ServiceWorker,
+        SettingsMismatchError,
+    )
     gpu = (small_config(num_channels=args.channels)
            if args.channels else None)
     store = None
@@ -904,6 +909,9 @@ def _cmd_worker(args) -> int:
         )
     except (ServiceError, OSError) as exc:
         print(f"worker: cannot reach {args.url}: {exc}", file=sys.stderr)
+        return 1
+    except SettingsMismatchError as exc:
+        print(f"worker: {exc}", file=sys.stderr)
         return 1
     print(f"worker {worker.name}: claiming from {args.url} "
           f"(settings {worker.runner.cache_settings()})", flush=True)

@@ -8,7 +8,10 @@ are built by :mod:`repro.config.presets`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import hashlib
+import json
+from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 
 #: Core clock in Hz (Table 1: 1.4 GHz).
 CORE_CLOCK_HZ = 1.4e9
@@ -277,6 +280,14 @@ class GPUConfig:
     @property
     def lines_per_page(self) -> int:
         return self.page_bytes // self.l1.line_bytes
+
+    @cached_property
+    def digest(self) -> str:
+        """Short sha256 of the canonical JSON of every field: the name
+        result stores know this machine by.  Computed once per config
+        object (a frozen config never changes)."""
+        text = json.dumps(asdict(self), sort_keys=True)
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     def describe(self) -> str:
         """Human-readable one-line summary."""

@@ -69,6 +69,14 @@ class RunKey:
         return " ".join(parts)
 
 
+#: The simulator's model version, part of every store fingerprint (see
+#: :meth:`ExperimentRunner.cache_settings`).  Bump it with every change
+#: that moves a result, that is with every re-pin of
+#: ``bench/expected.json``; :mod:`repro.experiments.store` re-exports
+#: it beside ``SCHEMA_VERSION``.
+MODEL_VERSION = 1
+
+
 class ExperimentRunner:
     """Runs and caches experiment points.
 
@@ -184,11 +192,14 @@ class ExperimentRunner:
     # Execution.
     # ------------------------------------------------------------------
 
-    def cache_settings(self) -> Dict[str, int]:
-        """Runner settings that change results without appearing in the
-        RunKey; folded into store fingerprints so two runners with
-        different settings never share disk entries."""
-        return {"mdr_epoch": self.mdr_epoch, "max_cycles": self.max_cycles}
+    def cache_settings(self) -> Dict[str, object]:
+        """Runner inputs that change results without appearing in the
+        RunKey: the base GPU (``GPUConfig.digest``), the model version,
+        ``mdr_epoch`` and ``max_cycles``.  Folded into store
+        fingerprints, so two runners that would simulate different
+        results never share disk entries."""
+        return {"gpu": self.base_gpu.digest, "model": MODEL_VERSION,
+                "mdr_epoch": self.mdr_epoch, "max_cycles": self.max_cycles}
 
     def lookup(self, key: RunKey) -> Optional[RunResult]:
         """Fetch a result from the in-memory cache or the store, or

@@ -48,12 +48,18 @@ from pathlib import Path
 from typing import List, Mapping, Optional
 
 from repro.core.system import RunResult
-from repro.experiments.runner import ExperimentRunner, RunKey
+from repro.experiments.runner import MODEL_VERSION, ExperimentRunner, RunKey
 from repro.power.energy import EnergyBreakdown
 
 #: Bump when RunResult's schema *or* the fingerprint inputs change;
 #: stale entries are ignored. v3: runner settings joined the fingerprint.
 SCHEMA_VERSION = 3
+
+#: ``MODEL_VERSION`` (defined beside ``ExperimentRunner.cache_settings``,
+#: which folds it into every fingerprint, and imported above) changes
+#: with the simulator's results: bump it with every re-pin of
+#: ``bench/expected.json``, and entries of the older model then miss.
+#: tests/test_store.py keeps that file's sha256 beside the number.
 
 
 class ResultConflictError(RuntimeError):

@@ -11,14 +11,13 @@ so workers are stateless and disposable: kill one mid-point and its
 lease simply expires and the point is requeued.
 
 Correctness hinges on every worker simulating exactly what the server
-would: the same GPU config and the same runner settings. Settings
-(``mdr_epoch``, ``max_cycles``) are advertised by ``GET /stats`` and
-adopted by :meth:`ServiceWorker.from_service`; the GPU config is *not*
-part of the fingerprint (a known limitation inherited from the store),
-so a worker must be launched with the same ``--channels`` as the
-server. The store's save-time payload-equality check backstops this:
-a misconfigured worker's divergent result is rejected at publish time
-and delivered as a failure rather than silently cached.
+would: the same GPU config, model version and runner settings. The
+server advertises them in ``GET /stats`` (``settings``, the inputs of
+its fingerprints). :meth:`ServiceWorker.from_service` adopts
+``mdr_epoch`` and ``max_cycles``; the GPU is not carried on the wire,
+so a worker launched with a GPU (``--channels``) or model version other
+than the server's refuses with :class:`SettingsMismatchError` before it
+claims anything.
 """
 
 from __future__ import annotations
@@ -34,7 +33,8 @@ from repro.service.codec import runkey_from_dict
 
 
 class SettingsMismatchError(RuntimeError):
-    """The service runs different runner settings than this worker."""
+    """The service fingerprints with a GPU, model version or runner
+    settings other than this worker's."""
 
 
 class ServiceWorker:
@@ -58,22 +58,27 @@ class ServiceWorker:
                      **kwargs) -> "ServiceWorker":
         """Build a worker whose runner adopts the service's settings.
 
-        Reads ``GET /stats`` → ``settings`` so the worker's fingerprints
-        (and results) match the server's by construction. ``base_gpu``
-        must still match the server's GPU config -- it is not part of
-        the fingerprint.
+        Reads ``GET /stats`` → ``settings`` and adopts ``mdr_epoch``
+        and ``max_cycles``. ``base_gpu`` is this worker's machine: when
+        its digest (or the model version) differs from the server's,
+        raises :class:`SettingsMismatchError`.
         """
         with ServiceClient(url, timeout=kwargs.get("request_timeout",
                                                    30.0)) as client:
-            settings = dict(client.stats().get("settings") or {})
+            settings = client.stats().get("settings")
         runner_kwargs = {}
-        if "mdr_epoch" in settings:
-            runner_kwargs["mdr_epoch"] = int(settings["mdr_epoch"])
-        if "max_cycles" in settings:
-            runner_kwargs["max_cycles"] = int(settings["max_cycles"])
+        for name in ("mdr_epoch", "max_cycles"):
+            if settings and name in settings:
+                runner_kwargs[name] = int(settings[name])
         runner = ExperimentRunner(base_gpu=base_gpu, store=store,
                                   **runner_kwargs)
-        return cls(url, runner, **kwargs)
+        worker = cls(url, runner, **kwargs)
+        try:
+            worker._refuse_mismatch(settings)
+        except SettingsMismatchError:
+            worker.close()
+            raise
+        return worker
 
     def close(self) -> None:
         """Close the client's connections (idempotent).
@@ -91,7 +96,9 @@ class ServiceWorker:
 
     def check_settings(self) -> None:
         """Refuse to run against a settings-mismatched service."""
-        remote = self.client.stats().get("settings")
+        self._refuse_mismatch(self.client.stats().get("settings"))
+
+    def _refuse_mismatch(self, remote) -> None:
         local = self.runner.cache_settings()
         if remote is not None and dict(remote) != dict(local):
             raise SettingsMismatchError(

@@ -365,6 +365,27 @@ class TestRemoteExecutor:
         assert report.mode == "inline"
         assert report.simulated == 1
 
+    def test_gpu_mismatch_refuses(self, tmp_path):
+        """An endpoint simulating another GPU is refused at start."""
+        from repro.config.presets import small_config
+        from repro.orchestrator import BackendError
+
+        manager = JobManager(
+            ExperimentRunner(base_gpu=small_config(num_channels=4,
+                                                   warps_per_sm=4)),
+            workers=1, backoff=0.0,
+        )
+        server = ServiceServer(manager, port=0).start()
+        try:
+            backend = RemoteExecutor([server.url], steal_after=None)
+            backend.bind(SweepOrchestrator(make_runner(tmp_path),
+                                           workers=1, backend=backend))
+            with pytest.raises(BackendError, match="gpu"):
+                backend.start()
+            backend.close()
+        finally:
+            server.stop()
+
     def test_dead_endpoint_is_skipped(self, service, tmp_path):
         backend = RemoteExecutor(
             ["http://127.0.0.1:9", service.url],

@@ -1,7 +1,9 @@
 """Result-store tests (JSON persistence + runner integration)."""
 
 import dataclasses
+import hashlib
 import json
+import pathlib
 
 import pytest
 
@@ -9,6 +11,7 @@ from repro.config.presets import small_config
 from repro.config.topology import Architecture, ReplicationPolicy
 from repro.experiments.runner import ExperimentRunner, RunKey
 from repro.experiments.store import (
+    MODEL_VERSION,
     SCHEMA_VERSION,
     ResultConflictError,
     ResultStore,
@@ -56,6 +59,30 @@ class TestFingerprint:
         a = key_fingerprint(key, {"mdr_epoch": 1, "max_cycles": 2})
         b = key_fingerprint(key, {"max_cycles": 2, "mdr_epoch": 1})
         assert a == b
+
+    def test_runner_settings_name_the_gpu_and_model(self):
+        gpu = small_config(num_channels=4)
+        settings = ExperimentRunner(base_gpu=gpu).cache_settings()
+        assert settings["gpu"] == gpu.digest
+        assert settings["model"] == MODEL_VERSION
+        # Equal configs share a digest; any field change moves it.
+        assert small_config(num_channels=4).digest == gpu.digest
+        assert small_config(num_channels=8).digest != gpu.digest
+        other = dataclasses.replace(gpu, page_bytes=8192)
+        assert other.digest != gpu.digest
+
+
+#: ``bench/expected.json`` as pinned at this ``MODEL_VERSION``.  A re-pin
+#: moves results: bump ``MODEL_VERSION`` (repro.experiments.runner) and
+#: record the new file's sha256 here, so stores miss on old results.
+PINNED_AT_MODEL = (1, "c1db849e3e8076dccd602e2b80e778433f95d4f5655bab68baf1bebb2365f184")
+
+
+def test_model_version_moves_with_the_pins():
+    pins = pathlib.Path(__file__).parent.parent / "bench" / "expected.json"
+    sha = hashlib.sha256(pins.read_bytes()).hexdigest()
+    assert (MODEL_VERSION, sha) == PINNED_AT_MODEL, (
+        "bench/expected.json and MODEL_VERSION must change together")
 
 
 class TestSerialization:
@@ -185,6 +212,19 @@ class TestRunnerStoreIntegration:
                                  store=ResultStore(tmp_path))
         other.run(key)
         assert other.simulations_run == 1  # no stale sharing
+
+    def test_different_gpu_not_shared(self, tmp_path):
+        """A store filled by a 2-channel runner must not answer a
+        4-channel runner: the GPU is part of the key."""
+        key = RunKey("KMEANS", Architecture.NUBA)
+        small = ExperimentRunner(base_gpu=small_config(num_channels=2),
+                                 store=ResultStore(tmp_path))
+        cycles = small.run(key).cycles
+        wider = ExperimentRunner(base_gpu=small_config(num_channels=4),
+                                 store=ResultStore(tmp_path))
+        assert wider.lookup(key) is None
+        assert wider.run(key).cycles != cycles
+        assert wider.simulations_run == 1
 
     def test_run_system_publishes_to_store(self, tmp_path):
         gpu = small_config(num_channels=2, warps_per_sm=4)

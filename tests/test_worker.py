@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.config.presets import small_config
 from repro.experiments.runner import ExperimentRunner, RunKey
 from repro.experiments.store import ResultStore
 from repro.orchestrator import RemoteExecutor, SweepOrchestrator
@@ -215,6 +216,19 @@ class TestServiceWorkerHTTP:
         mismatched = ExperimentRunner(base_gpu=tiny_gpu(),
                                       mdr_epoch=123)
         with ServiceWorker(coordinator_server.url, mismatched) as worker:
+            with pytest.raises(SettingsMismatchError):
+                worker.check_settings()
+
+    def test_worker_with_another_gpu_refuses(self, coordinator_server):
+        """The GPU is not carried on the wire: a worker built for
+        another machine must refuse rather than publish its results
+        under the coordinator's fingerprints."""
+        wider = small_config(num_channels=4, warps_per_sm=4)
+        with pytest.raises(SettingsMismatchError, match="gpu"):
+            ServiceWorker.from_service(coordinator_server.url,
+                                       base_gpu=wider)
+        runner = ExperimentRunner(base_gpu=wider)
+        with ServiceWorker(coordinator_server.url, runner) as worker:
             with pytest.raises(SettingsMismatchError):
                 worker.check_settings()
 
