@@ -2,12 +2,10 @@
 
 The quiescence engine made *idle* cycles nearly free; the caches
 gated here attack the *busy* path instead: per-request Python work
-that dominates saturated NUBA runs.  Four independent optimisations,
+that dominates saturated NUBA runs.  Three independent optimisations,
 each provably result-neutral (the equivalence arguments live next to
 each implementation and in docs/PERFORMANCE.md):
 
-* ``tlb_mru`` -- a one-entry MRU front cache before each L1 TLB probe
-  (:mod:`repro.vm.tlb`).
 * ``intern_bodies`` -- interning of deterministic warp instruction
   bodies (:mod:`repro.workloads.patterns`).
 * ``request_pool`` -- a :class:`~repro.sim.request.MemoryRequest`
@@ -15,7 +13,7 @@ each implementation and in docs/PERFORMANCE.md):
 * ``route_table`` -- per-frame memoisation of channel/slice/bank
   routing (:mod:`repro.vm.address_map`).
 
-All four are on by default.  ``disabled()`` is the debugging escape
+All three are on by default.  ``disabled()`` is the debugging escape
 hatch mirroring ``Simulator(strict=True)``: it turns every flag off
 *and* clears every registered cache so a suspected fast-lane bug can
 be bisected against the plain path.  Equivalence is enforced by
@@ -23,9 +21,9 @@ tests/test_fastlane_equivalence.py: fast-lane on vs. strict mode with
 the fast lane disabled must produce field-identical results, stats
 snapshots and tracer event streams.
 
-Some consumers snapshot a flag at construction time (the TLB MRU
-gate, the address-map memo gate); ``disabled()`` is therefore meant
-to wrap *system construction plus the run*, which is how the
+Some consumers snapshot a flag at construction time (the
+address-map memo gate); ``disabled()`` is therefore meant to wrap
+*system construction plus the run*, which is how the
 equivalence tests use it.
 """
 
@@ -36,12 +34,11 @@ from typing import Callable, List
 
 
 class FastLaneFlags:
-    """The four independent fast-lane switches (all default on)."""
+    """The three independent fast-lane switches (all default on)."""
 
-    __slots__ = ("tlb_mru", "intern_bodies", "request_pool", "route_table")
+    __slots__ = ("intern_bodies", "request_pool", "route_table")
 
     def __init__(self) -> None:
-        self.tlb_mru = True
         self.intern_bodies = True
         self.request_pool = True
         self.route_table = True
@@ -65,8 +62,8 @@ class FastLaneFlags:
 FLAGS = FastLaneFlags()
 
 #: Clearers for every process-wide fast-lane cache (interned bodies,
-#: the request freelist); per-object caches (TLB MRU, address-map
-#: memos) die with their owners and need no registration.
+#: the request freelist); per-object caches (address-map memos) die
+#: with their owners and need no registration.
 _cache_clearers: List[Callable[[], None]] = []
 
 

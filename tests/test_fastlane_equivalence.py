@@ -1,8 +1,8 @@
 """Fast-lane vs. plain-path equivalence (docs/PERFORMANCE.md, "Busy path").
 
-The busy-path fast lane (``repro.sim.fastlane``) -- TLB MRU front
-caches, warp-body interning, the request freelist and precomputed
-address routing -- must be *result-neutral*: a default run (fast lane
+The busy-path fast lane (``repro.sim.fastlane``) -- warp-body
+interning, the request freelist and precomputed address routing --
+must be *result-neutral*: a default run (fast lane
 on, quiescence engine) has to produce field-identical results, stats
 snapshots and tracer event streams compared to ``Simulator(strict=True)``
 with every fast-lane flag off, which is the unoptimised reference path.
@@ -93,8 +93,7 @@ def _run(key: RunKey, strict: bool):
 def test_fast_lane_is_bit_identical_to_plain_path(key: RunKey) -> None:
     """Default run == strict engine with every fast-lane flag off."""
     assert fastlane.FLAGS.snapshot() == {
-        "tlb_mru": True, "intern_bodies": True,
-        "request_pool": True, "route_table": True,
+        "intern_bodies": True, "request_pool": True, "route_table": True,
     }
     fast = _run(key, strict=False)
     with fastlane.disabled():

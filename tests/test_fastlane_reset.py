@@ -5,8 +5,8 @@ The lint framework's F002 rule enforces that every module-level
 fast-lane memo registers a clearer; this suite proves the other half of
 the contract -- that after toggling flags and running a point,
 ``reset()`` verifiably empties every registered cache (request pool,
-interned warp bodies), the per-object caches (TLB MRU, address-map
-route/bank memos) flush with their owners, and a re-run from the reset
+interned warp bodies), the per-object caches (address-map route/bank
+memos) flush with their owners, and a re-run from the reset
 state is bit-identical.
 
 Request ids come from a process-global counter, so each measured run
@@ -31,7 +31,7 @@ from repro.workloads.suite import get_benchmark
 KEY = RunKey("KMEANS", Architecture.NUBA,
              replication=ReplicationPolicy.MDR)
 
-FLAG_NAMES = ("tlb_mru", "intern_bodies", "request_pool", "route_table")
+FLAG_NAMES = ("intern_bodies", "request_pool", "route_table")
 
 
 def _run_point():
@@ -67,11 +67,6 @@ class TestResetEmptiesCaches:
             base_gpu=small_config(num_channels=2), strict=False,
         )
         system = runner.build(KEY)
-        # The TLBs (and their MRU front caches) flush at kernel
-        # boundaries, so MRU population must be sampled mid-run.
-        mru_seen = []
-        system.sim.every(200, lambda cycle: mru_seen.append(True) if any(
-            sm.mmu.l1._mru_key is not None for sm in system.sms) else None)
         workload = get_benchmark(KEY.benchmark).instantiate(system.gpu)
         system.run_workload(workload, max_cycles=runner.max_cycles)
 
@@ -80,7 +75,6 @@ class TestResetEmptiesCaches:
         assert patterns._mem_interned or patterns._compute_interned, \
             "warp-body intern table never populated"
         # ...and the per-object ones.
-        assert mru_seen, "no TLB MRU entry populated during the run"
         assert (system.address_map._route_cache
                 or system.address_map._bank_cache), \
             "no route/bank memo populated"
@@ -95,10 +89,6 @@ class TestResetEmptiesCaches:
 
         # Per-object caches die with their owners (that is why they are
         # not in the registry); their flush hooks must empty them too.
-        for sm in system.sms:
-            sm.mmu.l1.flush()
-            assert sm.mmu.l1._mru_key is None
-            assert sm.mmu.l1._mru_frame == -1
         system.address_map.flush_routes()
         assert not system.address_map._route_cache
         assert not system.address_map._bank_cache

@@ -99,7 +99,7 @@ class TestMigration:
 
 
 def _mmu_over(driver, sm_id):
-    """A real MMU (L1 TLB + MRU front cache, shared L2, walkers) whose
+    """A real MMU (L1 TLB, shared L2, walkers) whose
     translation provider is ``driver`` -- the wiring the system builder
     uses, scaled down to one SM."""
     tlb = GPU.tlb
@@ -110,8 +110,7 @@ def _mmu_over(driver, sm_id):
 
 class TestMigrationInvalidation:
     """Migration must invalidate every fast-lane cache that could hold
-    the old placement: TLB entries (incl. the MRU front cache) via the
-    generation bump, while frame-pure route memos stay valid."""
+    the old placement: TLB entries via the generation bump, while frame-pure route memos stay valid."""
 
     def _migrate_page(self, driver, manager):
         """Fault vpage 1 onto channel 0, hammer it from partition 3 and
