@@ -75,7 +75,3 @@ class MSHRFile:
         if waiters is None:
             raise KeyError(f"no MSHR entry for line 0x{line_addr:x}")
         return waiters
-
-    def waiters(self, line_addr: int) -> List[MemoryRequest]:
-        """The requests currently merged under a line's entry."""
-        return list(self._pending.get(line_addr, ()))

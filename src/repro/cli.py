@@ -891,11 +891,8 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_worker(args) -> int:
-    from repro.service import (
-        ServiceError,
-        ServiceWorker,
-        SettingsMismatchError,
-    )
+    from repro.service import (ServiceError, ServiceWorker,
+                               SettingsMismatchError)
     gpu = (small_config(num_channels=args.channels)
            if args.channels else None)
     store = None

@@ -69,11 +69,9 @@ class RunKey:
         return " ".join(parts)
 
 
-#: The simulator's model version, part of every store fingerprint (see
-#: :meth:`ExperimentRunner.cache_settings`).  Bump it with every change
-#: that moves a result, that is with every re-pin of
-#: ``bench/expected.json``; :mod:`repro.experiments.store` re-exports
-#: it beside ``SCHEMA_VERSION``.
+#: The simulator's model version, part of every store fingerprint.  Bump
+#: it with every change that moves a result (every re-pin of
+#: ``bench/expected.json``); tests/test_store.py pins the two together.
 MODEL_VERSION = 1
 
 

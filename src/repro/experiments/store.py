@@ -55,11 +55,8 @@ from repro.power.energy import EnergyBreakdown
 #: stale entries are ignored. v3: runner settings joined the fingerprint.
 SCHEMA_VERSION = 3
 
-#: ``MODEL_VERSION`` (defined beside ``ExperimentRunner.cache_settings``,
-#: which folds it into every fingerprint, and imported above) changes
-#: with the simulator's results: bump it with every re-pin of
-#: ``bench/expected.json``, and entries of the older model then miss.
-#: tests/test_store.py keeps that file's sha256 beside the number.
+#: ``MODEL_VERSION`` (imported above from the runner, which folds it
+#: into every fingerprint) moves with every re-pin of bench/expected.json.
 
 
 class ResultConflictError(RuntimeError):

@@ -37,6 +37,14 @@ class SettingsMismatchError(RuntimeError):
     settings other than this worker's."""
 
 
+def _refuse_mismatch(url: str, remote, local) -> None:
+    if remote is not None and dict(remote) != dict(local):
+        raise SettingsMismatchError(
+            f"service {url} runs settings {remote}, this worker has "
+            f"{local}; results would land under different fingerprints"
+        )
+
+
 class ServiceWorker:
     """One claim-loop worker bound to a service endpoint."""
 
@@ -72,13 +80,8 @@ class ServiceWorker:
                 runner_kwargs[name] = int(settings[name])
         runner = ExperimentRunner(base_gpu=base_gpu, store=store,
                                   **runner_kwargs)
-        worker = cls(url, runner, **kwargs)
-        try:
-            worker._refuse_mismatch(settings)
-        except SettingsMismatchError:
-            worker.close()
-            raise
-        return worker
+        _refuse_mismatch(url, settings, runner.cache_settings())
+        return cls(url, runner, **kwargs)
 
     def close(self) -> None:
         """Close the client's connections (idempotent).
@@ -96,16 +99,9 @@ class ServiceWorker:
 
     def check_settings(self) -> None:
         """Refuse to run against a settings-mismatched service."""
-        self._refuse_mismatch(self.client.stats().get("settings"))
-
-    def _refuse_mismatch(self, remote) -> None:
-        local = self.runner.cache_settings()
-        if remote is not None and dict(remote) != dict(local):
-            raise SettingsMismatchError(
-                f"service {self.client.base_url} runs settings "
-                f"{remote}, this worker has {local}; results would "
-                "land under different fingerprints"
-            )
+        _refuse_mismatch(self.client.base_url,
+                         self.client.stats().get("settings"),
+                         self.runner.cache_settings())
 
     # ------------------------------------------------------------------
 

@@ -197,8 +197,10 @@ _POOL_LIMIT = 8192
 
 
 def acquire(kind: AccessKind, line_addr: int, sm_id: int,
-            vpage: Optional[int] = None,
-            req_id: Optional[int] = None) -> MemoryRequest:
+            vpage: Optional[int] = None, req_id: Optional[int] = None,
+            issue_cycle: int = 0,
+            on_complete: Optional[Callable[[MemoryRequest], None]] = None,
+            ) -> MemoryRequest:
     """A fresh request, recycled from the pool when one is available.
 
     ``req_id`` is an id reserved earlier from the shared counter (the
@@ -222,12 +224,13 @@ def acquire(kind: AccessKind, line_addr: int, sm_id: int,
         request.is_local = False
         request.is_replica_access = False
         request.is_reply = False
-        request.issue_cycle = 0
+        request.issue_cycle = issue_cycle
         request.complete_cycle = -1
         request.hit_level = ""
-        request.on_complete = None
+        request.on_complete = on_complete
         return request
-    return MemoryRequest(kind, line_addr, sm_id, req_id, vpage)
+    return MemoryRequest(kind, line_addr, sm_id, req_id, vpage,
+                         issue_cycle=issue_cycle, on_complete=on_complete)
 
 
 def release(request: MemoryRequest) -> None:

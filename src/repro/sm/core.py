@@ -40,13 +40,6 @@ from repro.vm.tlb import MMU
 #: (models a finite load-store unit queue).
 LSU_QUEUE_LIMIT = 48
 
-#: The load-store unit holds lines, not requests: each LSU heap entry is
-#: ``(ready_at, seq, line_addr, vpage, req_id, kind, issue_cycle,
-#: warp)``, where ``warp`` is ``None`` for a store (stores never block
-#: their warp).  ``req_id`` is reserved at issue, so request ids follow
-#: issue order whether or not the line ever leaves the SM.
-LSUEntry = Tuple[int, int, int, int, int, AccessKind, int, Optional[Warp]]
-
 #: How often (cycles) the SM scans for retired CTAs to refill.
 CTA_REFILL_PERIOD = 8
 
@@ -84,7 +77,10 @@ class SMCore(Component):
         self.schedulers = [
             GTOScheduler(i) for i in range(gpu.sm.warp_schedulers)
         ]
-        self._lsu: List[LSUEntry] = []  # ready heap
+        #: Ready heap of lines, not requests: ``(ready_at, seq, line_addr,
+        #: vpage, req_id, kind, issue_cycle, warp)``; ``warp`` is None
+        #: for a store, and ``req_id`` is reserved at issue.
+        self._lsu: List[tuple] = []
         self._lsu_seq = 0
         #: ``translate`` latency of an L1 TLB hit (a repeated page).
         self._tlb_hit_latency = mmu.config.l1_latency
@@ -216,7 +212,6 @@ class SMCore(Component):
             self._drain_replies(now)
         hit_returns = self._hit_returns._items
         if hit_returns and hit_returns[0][0] <= now:
-            completed = 0
             while hit_returns and hit_returns[0][0] <= now:
                 warp = hit_returns.popleft()[1]
                 # == warp.load_returned(), inlined on the hit path.
@@ -224,8 +219,7 @@ class SMCore(Component):
                     raise RuntimeError(
                         "load return for a warp with none in flight")
                 warp.outstanding -= 1
-                completed += 1
-            self.loads_completed += completed
+                self.loads_completed += 1
         if self._out._items:
             self._drain_out()
         if self._lsu:
@@ -301,13 +295,9 @@ class SMCore(Component):
             scheduler.idle_cycles += cycles
 
     def _drain_replies(self, now: int) -> None:
-        """Complete atomics; fill the L1 with returned lines.
-
-        ``CacheArray.install`` and ``MSHRFile.release`` are inlined.
-        The write-through L1 never holds a dirty line, so an eviction
-        needs no victim record.  An L1 MSHR entry holds the carried
-        request followed by the warps of the loads merged into it.
-        """
+        """Complete atomics; fill the L1 (``CacheArray.install``, with
+        no victim record, and ``MSHRFile.release`` inlined) and return
+        every load of the line: the carried request, then merged warps."""
         replies = self._replies._items
         array = self.l1.array
         sets = array._sets
@@ -403,18 +393,15 @@ class SMCore(Component):
             (_, seq, line_addr, vpage, req_id, kind, issue_cycle,
              warp) = heappop(lsu)
             if kind is AccessKind.STORE:
-                request = acquire_request(kind, line_addr, self.sm_id,
-                                          vpage, req_id)
-                request.issue_cycle = issue_cycle
+                request = acquire_request(kind, line_addr, self.sm_id, vpage,
+                                          req_id, issue_cycle, None)
                 l1.access_store(request)
             elif kind is AccessKind.ATOMIC:
                 # Atomics bypass the L1 and execute at the LLC
                 # (Section 5.3); any cached copy becomes stale.
                 array.invalidate(line_addr)
-                request = acquire_request(kind, line_addr, self.sm_id,
-                                          vpage, req_id)
-                request.issue_cycle = issue_cycle
-                request.on_complete = warp.load_cb
+                request = acquire_request(kind, line_addr, self.sm_id, vpage,
+                                          req_id, issue_cycle, warp.load_cb)
             else:
                 line_set = sets[line_addr % num_sets]
                 if line_addr in line_set:
@@ -437,10 +424,8 @@ class SMCore(Component):
                     heapq.heappush(lsu, (now + 4, seq, line_addr, vpage,
                                          req_id, kind, issue_cycle, warp))
                     return
-                request = acquire_request(kind, line_addr, self.sm_id,
-                                          vpage, req_id)
-                request.issue_cycle = issue_cycle
-                request.on_complete = warp.load_cb
+                request = acquire_request(kind, line_addr, self.sm_id, vpage,
+                                          req_id, issue_cycle, warp.load_cb)
                 mshr_pending[line_addr] = [request]
                 mshr.allocations += 1
                 mshr_occupancy += 1
