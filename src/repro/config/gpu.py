@@ -8,7 +8,6 @@ are built by :mod:`repro.config.presets`.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
@@ -286,6 +285,8 @@ class GPUConfig:
         """Short sha256 of the canonical JSON of every field: the name
         result stores know this machine by.  Computed once per config
         object (a frozen config never changes)."""
+        import hashlib  # about 2 ms to import; only store keys need it
+
         text = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 

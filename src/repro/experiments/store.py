@@ -85,10 +85,7 @@ def key_fingerprint(key: RunKey,
     appearing in the key (see :meth:`ExperimentRunner.cache_settings`);
     distinct settings hash to distinct fingerprints.
     """
-    payload = {
-        field.name: _plain(getattr(key, field.name))
-        for field in dataclasses.fields(key)
-    }
+    payload = {name: _plain(getattr(key, name)) for name in _KEY_FIELDS}
     if settings:
         payload["_settings"] = {
             name: _plain(settings[name]) for name in sorted(settings)
@@ -96,6 +93,9 @@ def key_fingerprint(key: RunKey,
     text = json.dumps(payload, sort_keys=True)
     digest = hashlib.sha256(text.encode()).hexdigest()[:16]
     return f"{key.benchmark}_{key.architecture.value}_{digest}"
+
+
+_KEY_FIELDS = tuple(field.name for field in dataclasses.fields(RunKey))
 
 
 def _plain(value):
