@@ -252,11 +252,11 @@ class TestLinesInTheLSU:
                        [store((4, 0)), atomic((4, 1))]])
         h.run(500)
         assert h.l1.mshr.merges == 1
-        assert sorted(kind.value for kind in built) == [
-            "atomic", "load", "store"]
+        assert set(built) == {AccessKind.LOAD, AccessKind.STORE,
+                              AccessKind.ATOMIC}
         fill_tick = h.cycle
         for request, (kind, _, _) in zip(h.sent, h.log):
-            if kind.value != "store":  # stores get no reply at the SM
+            if kind is not AccessKind.STORE:  # no reply at the SM
                 h.reply(request)
         h.run(1)
         # The carried load and the merged one complete at the fill
@@ -303,7 +303,7 @@ class TestLinesInTheLSU:
         assert len(calls) < lines
 
     def test_load_return_underflow_still_raises(self):
-        from repro.sim.request import AccessKind, acquire
+        from repro.sim.request import acquire
         from tests.sm_harness import SMHarness
 
         h = SMHarness([[Compute(1)]])
