@@ -54,9 +54,8 @@ from repro.power.energy import EnergyBreakdown
 #: Bump when RunResult's schema *or* the fingerprint inputs change;
 #: stale entries are ignored. v3: runner settings joined the fingerprint.
 SCHEMA_VERSION = 3
-
-#: ``MODEL_VERSION`` (imported above from the runner, which folds it
-#: into every fingerprint) moves with every re-pin of bench/expected.json.
+# MODEL_VERSION (imported above from the runner, which folds it into
+# every fingerprint) moves with every re-pin of bench/expected.json.
 
 
 class ResultConflictError(RuntimeError):
