@@ -3,12 +3,13 @@
     python benchmarks/equivalence_digest.py [--strict]
 
 Run it from the root of each checkout (it puts that checkout's
-``src/`` first on ``sys.path``) and diff the output. For each of the
-configurations of tests/test_fastlane_equivalence.py it prints the
-sha256 of the run's ``RunResult`` fields, stats snapshot, full tracer
-event stream and final cycle, plus the event count and final cycle. A
-change that claims bit-identical results must print the same lines as
-its parent.
+``src/`` first on ``sys.path``) and diff the output. It runs KMEANS on
+a 2-channel ``small_config`` under four configurations: memory-side
+UBA and SM-side UBA (both with first-touch placement), and NUBA
+without replication and with MDR. For each it prints the sha256 of the
+run's ``RunResult`` fields, stats snapshot, full tracer event stream
+and final cycle, plus the event count and final cycle. A change that
+claims bit-identical results must print the same lines as its parent.
 """
 
 import argparse

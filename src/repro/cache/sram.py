@@ -111,10 +111,6 @@ class CacheArray:
             return 0.0
         return self.hits / accesses
 
-    def set_occupancy(self, index: int) -> int:
-        """Number of valid lines in one set."""
-        return len(self._sets[index])
-
     def lines_in_set(self, index: int) -> List[int]:
         """The line addresses currently cached in one set."""
         return list(self._sets[index])

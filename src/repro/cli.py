@@ -11,7 +11,6 @@ Subcommands::
     python -m repro sweep fig7 fig10 --workers 4 --store results/
     python -m repro sweep fig7 --shard 0/2 --store shared/  # one of N hosts
     python -m repro sweep fig7 --backend remote --endpoint http://host:8000
-    python -m repro bench-perf [--quick] [--update-baseline]
     python -m repro report --out report.md [--workers 4]
     python -m repro serve --port 8000 --store results/ --workers 4
     python -m repro worker --connect http://host:8000   # claim-loop worker
@@ -212,62 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="service endpoint for --backend remote "
                             "(repeat for several)")
     _add_orchestrator_args(sweep)
-
-    bench = sub.add_parser(
-        "bench-perf",
-        help="measure engine throughput (cycles/sec) on a fixed "
-             "workload matrix and compare against the committed "
-             "baseline",
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="2-point matrix, single repeat (CI smoke)")
-    bench.add_argument("--repeats", type=int, default=None,
-                       help="timed repeats per point; best and median "
-                            "are recorded and regression gating uses "
-                            "the median (default: 3, or 1 with "
-                            "--quick)")
-    bench.add_argument("--out", default="BENCH_engine.json",
-                       metavar="PATH",
-                       help="result JSON (default BENCH_engine.json)")
-    bench.add_argument("--baseline",
-                       default="benchmarks/BENCH_engine_baseline.json",
-                       metavar="PATH",
-                       help="committed baseline to compare against")
-    bench.add_argument("--threshold", type=float, default=0.30,
-                       help="fractional cycles/sec regression that "
-                            "fails the run (default 0.30)")
-    bench.add_argument("--update-baseline", action="store_true",
-                       help="overwrite the baseline with this run "
-                            "instead of comparing")
-    bench.add_argument("--compare", nargs=2, default=None,
-                       metavar=("OLD.json", "NEW.json"),
-                       help="print a per-point cycles/sec delta table "
-                            "between two saved reports and exit "
-                            "(no measurement); exits nonzero when any "
-                            "point regressed beyond --threshold")
-    bench.add_argument("--no-fail", action="store_true",
-                       help="with --compare: always exit 0, even when "
-                            "points regressed beyond --threshold "
-                            "(inspection-only runs)")
-    from repro.sim.fastlane import FastLaneFlags
-    bench.add_argument("--disable", nargs="+", default=None,
-                       metavar="FLAG",
-                       choices=sorted(FastLaneFlags.__slots__),
-                       help="turn the named fast-lane flags off for "
-                            "this measurement (A/B one busy-path "
-                            "optimisation; the baseline comparison is "
-                            "skipped because the committed baseline "
-                            "was measured with every flag on)")
-    bench.add_argument("--strict", action="store_true",
-                       help="disable quiescence skipping (A/B runs; "
-                            "compared only against a strict baseline)")
-    bench.add_argument("--profile", action="store_true",
-                       help="also cProfile one run per measured point "
-                            "and write the top functions next to the "
-                            "result JSON (<out>_profile.txt)")
-    bench.add_argument("--profile-top", type=int, default=25,
-                       help="functions per point in the profile "
-                            "artifact (default 25)")
 
     report = sub.add_parser(
         "report",
@@ -730,115 +673,6 @@ REPORT_FIGURES = ("table2", "fig3", "fig7", "fig8", "fig9", "fig11",
                   "fig12", "fig13")
 
 
-def _cmd_bench_perf(args) -> int:
-    import os
-    from repro.experiments import benchperf
-
-    if args.compare:
-        old = benchperf.load_report(args.compare[0])
-        new = benchperf.load_report(args.compare[1])
-        for line in benchperf.delta_table(old, new):
-            print(line)
-        # The delta table doubles as a regression gate: any point
-        # present in both reports that lost more than --threshold of
-        # its (median-preferred) cycles/sec fails the command unless
-        # --no-fail turns it back into an inspection-only run.
-        if old.get("mode") != new.get("mode"):
-            return 0  # different engines: deltas are not a gate
-        old_points = old.get("points", {})
-        regressed = []
-        for name, new_point in new.get("points", {}).items():
-            old_point = old_points.get(name)
-            if old_point is None:
-                continue
-            old_cps = benchperf.gate_cps(old_point)
-            new_cps = benchperf.gate_cps(new_point)
-            ratio = (new_cps / old_cps) if old_cps else float("inf")
-            if ratio < 1.0 - args.threshold:
-                regressed.append(name)
-        if regressed:
-            print(f"\n{len(regressed)} point(s) regressed more than "
-                  f"{args.threshold * 100:.0f}%: {', '.join(regressed)}")
-            if args.no_fail:
-                print("--no-fail: exiting 0 anyway")
-                return 0
-            return 1
-        return 0
-
-    def progress(name: str) -> None:
-        print(f"bench-perf: measuring {name} ...", file=sys.stderr)
-
-    from repro.sim import fastlane
-
-    disabled = sorted(set(args.disable)) if args.disable else []
-    saved_flags = fastlane.FLAGS.snapshot()
-    try:
-        if disabled:
-            for name in disabled:
-                setattr(fastlane.FLAGS, name, False)
-            fastlane.reset()
-        payload = benchperf.run_matrix(
-            quick=args.quick, repeats=args.repeats, strict=args.strict,
-            progress=progress,
-        )
-        if disabled:
-            payload["fastlane_disabled"] = disabled
-        rows = [
-            [name, point["cycles"], f"{point['wall_seconds']:.2f}",
-             f"{point['cycles_per_second']:.0f}",
-             f"{point['cycles_per_second_median']:.0f}",
-             f"{point['wall_seconds_stdev']:.3f}"]
-            for name, point in payload["points"].items()
-        ]
-        print(format_table(
-            ["point", "cycles", "wall s", "cycles/s",
-             "median c/s", "sd s"], rows,
-        ))
-        benchperf.write_report(args.out, payload)
-        print(f"wrote {args.out}")
-        if args.profile:
-            keys = (benchperf.QUICK_MATRIX if args.quick
-                    else benchperf.MATRIX)
-            print("bench-perf: profiling ...", file=sys.stderr)
-            artifact = benchperf.profile_matrix(
-                keys, top=args.profile_top, strict=args.strict,
-            )
-            root, _ = os.path.splitext(args.out)
-            profile_path = f"{root}_profile.txt"
-            with open(profile_path, "w") as handle:
-                handle.write(artifact)
-            print(f"wrote {profile_path}")
-    finally:
-        fastlane.FLAGS.restore(saved_flags)
-        if disabled:
-            fastlane.reset()
-    if disabled:
-        print(f"fast-lane flags disabled ({', '.join(disabled)}); "
-              f"baseline comparison skipped")
-        return 0
-    if args.update_baseline:
-        benchperf.write_report(args.baseline, payload)
-        print(f"updated baseline {args.baseline}")
-        return 0
-    if not os.path.exists(args.baseline):
-        print(f"no baseline at {args.baseline}; skipping comparison "
-              f"(create one with --update-baseline)")
-        return 0
-    baseline = benchperf.load_report(args.baseline)
-    lines, regressions = benchperf.compare(
-        payload, baseline, threshold=args.threshold,
-    )
-    print()
-    for line in lines:
-        print(line)
-    if regressions:
-        print(f"\nFAIL: {len(regressions)} point(s) regressed more than "
-              f"{args.threshold * 100:.0f}%: {', '.join(regressions)}")
-        return 1
-    print(f"\nwithin {args.threshold * 100:.0f}% of baseline")
-    return 0
-
-
 def _cmd_report(args) -> int:
     runner = _make_runner(args.channels, args.store)
     subset = args.subset or DEFAULT_SUBSET
@@ -1080,8 +914,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_figure(args)
     if args.command == "sweep":
         return _cmd_sweep(args)
-    if args.command == "bench-perf":
-        return _cmd_bench_perf(args)
     if args.command == "report":
         return _cmd_report(args)
     if args.command == "serve":

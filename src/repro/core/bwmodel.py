@@ -2,7 +2,8 @@
 
 MDR compares the estimated effective bandwidth with and without read-only
 data replication and adopts whichever is higher. The equations are
-implemented exactly as published:
+implemented exactly as published; the decision itself, with its
+hysteresis margin, is ``MDRController.on_epoch`` (docs/MODEL.md):
 
 **No replication**::
 
@@ -100,15 +101,3 @@ class BandwidthModel:
         bw_local_remote = frac_local * bw.bw_mem + frac_remote * bw_remote
         bw_llc_miss = min(llc_miss_rate * bw.bw_llc, bw_local_remote)
         return llc_hit_rate * bw.bw_llc + bw_llc_miss
-
-    def should_replicate(
-        self,
-        hit_rate_norep: float,
-        hit_rate_fullrep: float,
-        frac_local: float,
-    ) -> bool:
-        """The MDR decision: replicate iff full replication's estimated
-        effective bandwidth exceeds no-replication's."""
-        no_rep = self.bw_no_replication(hit_rate_norep, frac_local)
-        full_rep = self.bw_full_replication(hit_rate_fullrep, frac_local)
-        return full_rep > no_rep

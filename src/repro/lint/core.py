@@ -14,7 +14,7 @@ Canonical chain grammar::
     self.attr[]        subscript into an instance attribute
     G.name             module-level global ``name``
     @name              unresolved local / parameter
-    fastlane.FLAGS.x   absolute chain rooted at an imported module
+    time.perf_counter  absolute chain rooted at an imported module
 
 Everything here targets Python 3.9+ (CI lints on 3.9).
 """
@@ -26,7 +26,7 @@ import tokenize
 from dataclasses import dataclass, field
 from io import StringIO
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 #: Marker used in suppression maps for "all rules disabled on this line".
 ALL_RULES = "*"
@@ -203,17 +203,6 @@ class LintModule:
                     names.add(alias.asname or alias.name.split(".")[0])
         return names
 
-    def imported_from(self, module_suffix: str) -> Dict[str, str]:
-        """Map local name -> original name for ``from X import ...`` where
-        X ends with *module_suffix* (e.g. ``"fastlane"``)."""
-        out: Dict[str, str] = {}
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.ImportFrom) and node.module:
-                if node.module.split(".")[-1] == module_suffix:
-                    for alias in node.names:
-                        out[alias.asname or alias.name] = alias.name
-        return out
-
 
 class Resolver:
     """Canonical-chain resolution with intra-function alias tracking.
@@ -341,13 +330,6 @@ def dotted_name(node: ast.expr) -> Optional[str]:
         base = dotted_name(node.value)
         return None if base is None else base + "." + node.attr
     return None
-
-
-def iter_calls(tree: ast.AST) -> Iterator[ast.Call]:
-    """Yield every ast.Call in *tree*."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            yield node
 
 
 def walk_decorated(func: ast.AST) -> Sequence[str]:

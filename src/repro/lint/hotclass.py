@@ -1,38 +1,47 @@
 """H001-H003 -- hot-class discipline.
 
-Classes on the fastlane hot path (registered in
-``repro.sim.fastlane.HOT_CLASSES``) are instantiated or touched millions
-of times per run.  They must:
+Classes on the busy path (registered in :data:`HOT_CLASSES`) are
+instantiated or touched millions of times per run.  They must:
 
 * **H001** declare ``__slots__`` (no per-instance ``__dict__``) --
   ``@dataclass``-decorated classes are exempt at the declaration level
   (slots are handled by ``_DATACLASS_KWARGS`` on 3.10+);
 * **H002** keep their attribute set fixed after construction: creating
-  attributes outside ``__init__``/``__post_init__`` defeats slots,
-  confuses the freelist reuse in ``request.py``, and hides state from
-  ``fastlane.reset()``.
+  attributes outside ``__init__``/``__post_init__`` defeats slots and
+  confuses the freelist reuse in ``request.py``.
 
 **H003** flags stale registry entries (module or class no longer
 exists) so the registry can't silently rot.
-
-The registry lives next to the flags in ``fastlane.py`` on purpose:
-adding a flag-gated optimization and registering the classes it touches
-happen in the same diff.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.lint.core import Checker, Finding, LintModule, walk_decorated
 
+#: Hot-path classes held to the contract above.  Entries are
+#: ``"module:ClassName"``; a class that joins the busy path is
+#: registered here in the same diff.
+HOT_CLASSES = (
+    "repro.sim.engine:_Slot",
+    "repro.sim.queues:BoundedQueue",
+    "repro.sim.queues:DelayLine",
+    "repro.sim.queues:BandwidthLink",
+    "repro.sim.request:MemoryRequest",
+    "repro.sim.request:RequestTracker",
+    "repro.sim.stats:Histogram",
+    "repro.sim.stats:StatsRegistry",
+    "repro.sm.warp:Warp",
+    "repro.sm.cta:CTA",
+    "repro.sm.scheduler:GTOScheduler",
+    "repro.mem.dram:Bank",
+    "repro.vm.tlb:L1TLB",
+    "repro.obs.profiler:_TickProxy",
+)
+
 _INIT_METHODS = {"__init__", "__post_init__"}
-
-
-def _default_registry() -> Sequence[str]:
-    from repro.sim.fastlane import HOT_CLASSES
-    return HOT_CLASSES
 
 
 def _slots_names(cls: ast.ClassDef) -> Optional[Set[str]]:
@@ -56,13 +65,8 @@ def _slots_names(cls: ast.ClassDef) -> Optional[Set[str]]:
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
-    from repro.lint.core import dotted_name
-    for dec in cls.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        dname = dotted_name(target)
-        if dname and dname.split(".")[-1] == "dataclass":
-            return True
-    return False
+    return any(name.split(".")[-1] == "dataclass"
+               for name in walk_decorated(cls))
 
 
 def _class_level_names(cls: ast.ClassDef) -> Set[str]:
@@ -109,10 +113,11 @@ class HotClassChecker(Checker):
         self._registry = registry
 
     def registry(self) -> Sequence[str]:
-        """The active ``module:Class`` registry (fastlane's by default)."""
+        """The active ``module:Class`` registry (:data:`HOT_CLASSES` by
+        default)."""
         if self._registry is not None:
             return self._registry
-        return _default_registry()
+        return HOT_CLASSES
 
     def check_module(self, module: LintModule) -> List[Finding]:
         # Hot-class checks are project-wide (registry entries name
@@ -136,7 +141,7 @@ class HotClassChecker(Checker):
                                 "found under the linted tree"
                                 % (entry, mod_name),
                         hint="remove or fix the entry in "
-                             "repro/sim/fastlane.py",
+                             "repro/lint/hotclass.py",
                     ))
                 continue
             cls = next((c for c in module.top_level_classes()
@@ -148,7 +153,7 @@ class HotClassChecker(Checker):
                     message="HOT_CLASSES entry '%s': class %s not found "
                             "in %s" % (entry, cls_name, mod_name),
                     hint="remove or fix the entry in "
-                         "repro/sim/fastlane.py",
+                         "repro/lint/hotclass.py",
                 ))
                 continue
             findings.extend(self._check_class(module, cls))

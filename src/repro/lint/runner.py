@@ -10,17 +10,15 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.lint.baseline import Baseline
 from repro.lint.core import Checker, Finding, LintModule, iter_source_files
 from repro.lint.determinism import DeterminismChecker
-from repro.lint.fastlane_rules import FastlaneChecker
 from repro.lint.hotclass import HotClassChecker
 from repro.lint.tracer_guard import TracerGuardChecker
 from repro.lint.wake import WakeSiteChecker
 
 
 def default_checkers() -> List[Checker]:
-    """Fresh instances of the five standard checkers."""
+    """Fresh instances of the four standard checkers."""
     return [
         WakeSiteChecker(),
-        FastlaneChecker(),
         TracerGuardChecker(),
         DeterminismChecker(),
         HotClassChecker(),

@@ -16,8 +16,6 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from repro.sim import fastlane
-
 #: Cache line size in bytes used throughout the model (Table 1: 128 B block).
 LINE_BYTES = 128
 
@@ -150,10 +148,6 @@ class MemoryRequest:
         stores."""
         return _KIND_REPLY_BYTES[self.kind]
 
-    @property
-    def needs_reply_data(self) -> bool:
-        return self.kind is not AccessKind.STORE
-
     def complete(self, cycle: int) -> None:
         """Mark the request finished and invoke the SM callback."""
         self.complete_cycle = cycle
@@ -175,17 +169,18 @@ class MemoryRequest:
 
 
 # ----------------------------------------------------------------------
-# Request freelist (fast lane: ``fastlane.FLAGS.request_pool``).
+# Request freelist.
 #
 # Requests are the highest-churn objects in the model (one per L1 miss,
 # millions per run); recycling them at retirement removes the
 # allocation/GC pressure.  Equivalence argument: ``acquire`` resets
 # every field to exactly what the dataclass constructor would produce
-# and takes its ``req_id`` from the *shared* counter, so the id stream
-# -- which appears in tracer events -- is identical whether or not the
-# pool is on.  Release happens only at retirement points where
-# no component holds a reference any more (SM load/atomic completion,
-# LLC store write-validate, MC writeback scheduling).
+# (tests/test_request.py checks every field) and takes its
+# ``req_id`` from the *shared* counter, so the id stream -- which
+# appears in tracer events -- is the constructor's.  Release happens
+# only at retirement points where no component holds a reference any
+# more (SM load/atomic completion, LLC store write-validate, MC
+# writeback scheduling).
 # ----------------------------------------------------------------------
 
 _pool: List[MemoryRequest] = []
@@ -234,16 +229,11 @@ def acquire(kind: AccessKind, line_addr: int, sm_id: int,
 
 
 def release(request: MemoryRequest) -> None:
-    """Return a retired request to the pool (no-op when the fast lane
-    is off or the pool is full)."""
-    if fastlane.FLAGS.request_pool and len(_pool) < _POOL_LIMIT:
+    """Return a retired request to the pool (no-op when the pool is
+    full)."""
+    if len(_pool) < _POOL_LIMIT:
         request.on_complete = None
         _pool.append(request)
-
-
-@fastlane.register_cache
-def _clear_pool() -> None:
-    _pool.clear()
 
 
 class RequestTracker:

@@ -36,8 +36,10 @@ from repro.sm.scheduler import GTOScheduler
 from repro.sm.warp import Barrier, Compute, MemAccess, Warp
 from repro.vm.tlb import MMU
 
-#: Maximum lines waiting for translation/L1 before memory issue stalls
-#: (models a finite load-store unit queue).
+#: Finite load-store unit queue: a memory instruction replays while
+#: more than this many lines wait for translation/L1.  An admitted
+#: instruction queues all of its lines, so the queue can hold this
+#: many plus one instruction's lines (docs/MODEL.md §6).
 LSU_QUEUE_LIMIT = 48
 
 #: How often (cycles) the SM scans for retired CTAs to refill.
@@ -442,9 +444,11 @@ class SMCore(Component):
     def _issue(self, now: int) -> int:
         issued = 0
         for scheduler in self.schedulers:
-            # GTOScheduler.pick inlined (greedy first, else oldest) --
-            # the call ran twice per awake-SM cycle and dominated the
-            # issue path's profile; statistics match pick exactly.
+            # Greedy-then-oldest: the greedy warp issues while it is
+            # ready; otherwise the oldest ready warp becomes greedy.  A
+            # cycle with no ready warp counts as idle.  A warp is ready
+            # when it is not done, not at a barrier, has no loads in
+            # flight and its ``ready_at`` has come.
             warp = scheduler._greedy
             if (warp is None or warp.done or warp.at_barrier
                     or warp.outstanding != 0 or warp.ready_at > now):
@@ -460,8 +464,8 @@ class SMCore(Component):
                     scheduler.idle_cycles += 1
                     continue
             scheduler.issues += 1
-            # == warp.next_instruction(), with next()'s C-level default
-            # instead of a method call plus try/except per fetch.
+            # A stalled instruction replays before the stream advances;
+            # the end of the stream marks the warp done.
             instr = warp.stalled_instr
             if instr is not None:
                 warp.stalled_instr = None

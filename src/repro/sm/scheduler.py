@@ -4,6 +4,9 @@ GTO keeps issuing from the same warp until it stalls (memory dependence
 or stream end) and then switches to the oldest ready warp. Each SM has
 two schedulers, i.e. up to two issue slots per cycle; warps are split
 between the schedulers by parity, as in GPGPU-sim.
+
+A :class:`GTOScheduler` holds one scheduler's warps, its greedy warp and
+its counters; ``SMCore._issue`` applies the policy to them each cycle.
 """
 
 from __future__ import annotations
@@ -41,29 +44,8 @@ class GTOScheduler:
     def warps(self) -> List[Warp]:
         return list(self._warps)
 
-    @property
-    def active_warps(self) -> int:
-        return sum(1 for w in self._warps if not w.finished)
-
-    def pick(self, now: int) -> Optional[Warp]:
-        """Select the warp to issue from this cycle, or None."""
-        # Readiness checks are inlined (= Warp.is_ready) -- this runs for
-        # every scheduler on every awake SM tick.
-        greedy = self._greedy
-        if (greedy is not None and not greedy.done and not greedy.at_barrier
-                and greedy.outstanding == 0 and greedy.ready_at <= now):
-            self.issues += 1
-            return greedy
-        for warp in self._warps:
-            if (not warp.done and not warp.at_barrier
-                    and warp.outstanding == 0 and warp.ready_at <= now):
-                self._greedy = warp
-                self.issues += 1
-                return warp
-        self.idle_cycles += 1
-        return None
-
     def notify_stall(self, warp: Warp) -> None:
-        """The issued warp stalled; the next pick falls back to oldest."""
+        """The issued warp stalled; its next issue slot goes to the
+        oldest ready warp."""
         if self._greedy is warp:
             self._greedy = None

@@ -96,27 +96,6 @@ class Warp:
         #: each time.
         self.load_cb = self.load_returned
 
-    def is_ready(self, now: int) -> bool:
-        """True when the warp can issue this cycle."""
-        return (
-            not self.done
-            and not self.at_barrier
-            and self.outstanding == 0
-            and self.ready_at <= now
-        )
-
-    def next_instruction(self) -> Optional[Instruction]:
-        """Fetch the next instruction, or None when the stream ends."""
-        if self.stalled_instr is not None:
-            instr = self.stalled_instr
-            self.stalled_instr = None
-            return instr
-        try:
-            return next(self.stream)
-        except StopIteration:
-            self.done = True
-            return None
-
     def block_on_loads(self, count: int) -> None:
         """Stall the warp until ``count`` loads return."""
         self.outstanding += count

@@ -23,7 +23,6 @@ from typing import Dict, Tuple
 
 from repro.config.gpu import GPUConfig
 from repro.config.topology import AddressMapKind
-from repro.sim import fastlane
 
 
 def _log2(value: int) -> int:
@@ -58,12 +57,10 @@ class AddressMap:
         self.lines_per_page = gpu.lines_per_page
         #: Line-address bit where the page offset ends.
         self.page_line_bits = self.page_bits - self.line_bits
-        # Fast lane (``fastlane.FLAGS.route_table``): channel, bank and
-        # slice are pure functions of the *physical frame* (everything
-        # above the page offset) under both maps, so per-frame memos
-        # can never go stale -- page migration remaps vpage -> frame,
-        # never a frame's route.  Gated at construction time.
-        self._memoize = fastlane.FLAGS.route_table
+        # Channel, bank and slice are pure functions of the *physical
+        # frame* (everything above the page offset) under both maps, so
+        # per-frame memos can never go stale -- page migration remaps
+        # vpage -> frame, never a frame's route.
         self._route_cache: Dict[int, Tuple[int, int]] = {}
         self._bank_cache: Dict[int, int] = {}
 
@@ -79,8 +76,7 @@ class AddressMap:
         bank = self._bank_cache.get(frame)
         if bank is None:
             bank = _xor_fold(frame >> self.channel_bits, self.bank_bits) or 0
-            if self._memoize:
-                self._bank_cache[frame] = bank
+            self._bank_cache[frame] = bank
         return bank
 
     def route_of_line(self, line_addr: int) -> Tuple[int, int]:
@@ -100,24 +96,13 @@ class AddressMap:
                 within = self.bank_of_line(line_addr) % self.slices_per_channel
                 route = (channel,
                          channel * self.slices_per_channel + within)
-            if self._memoize:
-                self._route_cache[frame] = route
+            self._route_cache[frame] = route
         return route
 
     def slice_of_line(self, line_addr: int) -> int:
         """Global LLC slice index; slices are grouped per channel and the
         least significant bank bit(s) select the slice within a channel."""
         return self.route_of_line(line_addr)[1]
-
-    def flush_routes(self) -> None:
-        """Drop the per-frame memos.
-
-        Routes are frame-pure and cannot go stale; this exists for the
-        invalidation tests and for symmetry with the other fast-lane
-        caches (``fastlane.disabled()`` builds fresh maps anyway).
-        """
-        self._route_cache.clear()
-        self._bank_cache.clear()
 
     # -- driver support ----------------------------------------------
 

@@ -189,17 +189,11 @@ class MMU:
         #: per-call ``translation_key`` callback.
         self._key_params = provider.translation_key_params(sm_id)
 
-    def _check_shootdown(self) -> None:
-        """Coarse TLB shootdown: flush on any translation-generation bump
-        (page migration, Section 7.6)."""
-        if self.provider.translation_generation != self._generation:
-            self.l1.flush()
-            self.l2.flush()
-            self._generation = self.provider.translation_generation
-
     def translate(self, vpage: int, now: int) -> Tuple[int, int]:
         """Translate a virtual page; returns (ready_cycle, frame)."""
         provider = self.provider
+        # Coarse shootdown: flush on any translation-generation bump
+        # (page migration, Section 7.6).
         if provider.translation_generation != self._generation:
             self.l1.flush()
             self.l2.flush()

@@ -23,7 +23,6 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.sim import fastlane
 from repro.sim.request import AccessKind
 from repro.sm.warp import Barrier, Compute, Instruction, MemAccess
 
@@ -73,7 +72,7 @@ class Region:
 
 
 # ----------------------------------------------------------------------
-# Instruction interning (fast lane: ``fastlane.FLAGS.intern_bodies``).
+# Instruction interning.
 #
 # Deterministic generators rebuild identical vectorised accesses for
 # thousands of warps (every warp of a CTA class walks the same slab
@@ -86,17 +85,13 @@ class Region:
 # the frozen Region, without its generated Python-level ``__hash__``
 # on every probe.  The start offset is normalised modulo the region
 # span first: ``line_target`` wraps per element, so ``start % span``
-# yields exactly the same target tuple.
+# yields exactly the same target tuple.  The tables live for the
+# process (tests/test_workloads.py compares interned accesses with
+# directly built ones).
 # ----------------------------------------------------------------------
 
 _mem_interned: Dict[tuple, MemAccess] = {}
 _compute_interned: Dict[int, Compute] = {}
-
-
-@fastlane.register_cache
-def _clear_interned() -> None:
-    _mem_interned.clear()
-    _compute_interned.clear()
 
 
 def _vaccess(kind: AccessKind, region: Region,
@@ -107,8 +102,7 @@ def _vaccess(kind: AccessKind, region: Region,
     if instr is None:
         targets = tuple(region.line_target(start + k) for k in range(count))
         instr = MemAccess(kind, targets, space=region.name)
-        if fastlane.FLAGS.intern_bodies:
-            _mem_interned[key] = instr
+        _mem_interned[key] = instr
     return instr
 
 
@@ -126,8 +120,7 @@ def _compute(cycles: int) -> Compute:
     instr = _compute_interned.get(cycles)
     if instr is None:
         instr = Compute(cycles)
-        if fastlane.FLAGS.intern_bodies:
-            _compute_interned[cycles] = instr
+        _compute_interned[cycles] = instr
     return instr
 
 

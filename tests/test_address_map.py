@@ -116,3 +116,34 @@ class TestFactory:
         amap = make_address_map(small_config(), AddressMapKind.FIXED_CHANNEL)
         assert amap.num_channels == 8
         assert amap.slices_per_channel == 2
+
+
+class TestRouteMemos:
+    """``route_of_line`` and ``bank_of_line`` memoise per frame.  The
+    reference is a cold map's first answer, which runs the routing
+    formula."""
+
+    @staticmethod
+    def _cold_answer(gpu, kind, line_addr):
+        cold = make_address_map(gpu, kind)
+        return cold.route_of_line(line_addr), cold.bank_of_line(line_addr)
+
+    @pytest.mark.parametrize("kind", list(AddressMapKind),
+                             ids=lambda kind: kind.value)
+    def test_warm_map_equals_cold_map(self, kind):
+        gpu = small_config()
+        warm = make_address_map(gpu, kind)
+        # Every frame whose channel and bank bits take all their values,
+        # and the two extreme lines of each.
+        frames = range(1 << (warm.channel_bits + 2 * warm.bank_bits))
+        lines = (0, gpu.lines_per_page - 1)
+        expected = {
+            (frame, line): self._cold_answer(
+                gpu, kind, warm.line_addr(frame, line))
+            for frame in frames for line in lines
+        }
+        for _ in range(2):  # the first pass fills the memos
+            for (frame, line), answer in expected.items():
+                addr = warm.line_addr(frame, line)
+                assert (warm.route_of_line(addr),
+                        warm.bank_of_line(addr)) == answer, (frame, line)

@@ -3,12 +3,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.cache.sampling import EpochProfile
 from repro.config.presets import baseline_config, small_config
 from repro.core.bwmodel import (
     EVALUATION_CYCLES,
     BandwidthModel,
     ModelInputs,
 )
+from repro.core.mdr import MDRController
 
 #: Hand-checkable inputs: BW_LLC=100, BW_MEM=20, BW_NoC=40 (bytes/cycle).
 INPUTS = ModelInputs(bw_llc=100.0, bw_mem=20.0, bw_noc=40.0)
@@ -54,28 +56,71 @@ class TestFullReplication:
         assert model.bw_full_replication(0.6, 0.25) == pytest.approx(80.0)
 
 
+class _StubSampler:
+    """Hands the controller one fixed epoch profile."""
+
+    def __init__(self, hit_rate_norep, hit_rate_fullrep, frac_local):
+        self.profile = EpochProfile(
+            hit_rate_norep=hit_rate_norep,
+            hit_rate_fullrep=hit_rate_fullrep,
+            frac_local_norep=frac_local,
+            frac_local_fullrep=frac_local,
+            observed=1,
+        )
+
+    def snapshot(self):
+        return self.profile
+
+    def reset_epoch(self):
+        pass
+
+
+def _decide(hit_rate_norep, hit_rate_fullrep, frac_local):
+    """The epoch decision ``MDRController.on_epoch`` records."""
+    controller = MDRController(
+        BandwidthModel(INPUTS),
+        _StubSampler(hit_rate_norep, hit_rate_fullrep, frac_local),
+    )
+    controller.on_epoch(2000)
+    assert controller.replicate is controller.decisions[-1].replicate
+    return controller.decisions[-1]
+
+
 class TestDecision:
+    """The rule that runs: replicate iff BW_FullRep exceeds BW_NoRep
+    by ``REPLICATION_MARGIN`` (1.05)."""
+
     def test_replicates_when_hit_rate_survives(self):
         """Small read-only set: replication keeps the hit rate and turns
         remote traffic local -> replicate (the AN/SN case)."""
-        model = BandwidthModel(INPUTS)
-        assert model.should_replicate(
-            hit_rate_norep=0.8, hit_rate_fullrep=0.75, frac_local=0.2
-        )
+        decision = _decide(0.8, 0.75, frac_local=0.2)
+        assert (decision.bw_norep, decision.bw_fullrep) == pytest.approx(
+            (52.0, 95.0))
+        assert decision.replicate
 
     def test_avoids_when_replication_thrashes(self):
         """Large read-only set: replication destroys the hit rate ->
         keep no-replication (the BT/BICG case)."""
-        model = BandwidthModel(INPUTS)
-        assert not model.should_replicate(
-            hit_rate_norep=0.8, hit_rate_fullrep=0.05, frac_local=0.2
-        )
+        decision = _decide(0.8, 0.05, frac_local=0.2)
+        assert (decision.bw_norep, decision.bw_fullrep) == pytest.approx(
+            (52.0, 25.0))
+        assert not decision.replicate
 
     def test_no_remote_traffic_means_no_benefit(self):
-        model = BandwidthModel(INPUTS)
-        assert not model.should_replicate(
-            hit_rate_norep=0.5, hit_rate_fullrep=0.5, frac_local=1.0
-        )
+        decision = _decide(0.5, 0.5, frac_local=1.0)
+        assert (decision.bw_norep, decision.bw_fullrep) == pytest.approx(
+            (70.0, 70.0))
+        assert not decision.replicate
+
+    def test_margin_holds_back_a_small_gain(self):
+        """BW_FullRep 57 beats BW_NoRep 55, so the paper's rule
+        (Section 5.1) would replicate; 57 is below 55 x 1.05, so the
+        controller keeps no-replication."""
+        decision = _decide(0.5, 0.37, frac_local=0.5)
+        assert (decision.bw_norep, decision.bw_fullrep) == pytest.approx(
+            (55.0, 57.0))
+        assert decision.bw_fullrep > decision.bw_norep
+        assert not decision.replicate
 
 
 class TestModelProperties:

@@ -37,21 +37,6 @@ class TestParsing:
         assert args.out == "trace.json"
         assert args.interval == 500
 
-    def test_bench_perf_disable_accepts_fastlane_flags(self):
-        from repro.cli import _build_parser
-        args = _build_parser().parse_args(
-            ["bench-perf", "--quick", "--disable", "intern_bodies",
-             "route_table"])
-        assert args.disable == ["intern_bodies", "route_table"]
-
-    def test_bench_perf_disable_rejects_unknown_flag(self):
-        from repro.cli import _build_parser
-        # A typo and a flag whose optimisation was deleted both fail.
-        for flag in ("warp_drive", "columnar_llc", "tlb_mru"):
-            with pytest.raises(SystemExit):
-                _build_parser().parse_args(
-                    ["bench-perf", "--disable", flag])
-
     def test_figure_validates_name(self):
         with pytest.raises(SystemExit):
             main(["figure", "fig99"])
@@ -125,32 +110,6 @@ class TestCommands:
         code = main(["figure", "fig8", "--subset", "KMEANS"])
         assert code == 0
         assert "Figure 8" in capsys.readouterr().out
-
-    def test_bench_perf_compare_reports(self, tmp_path, capsys):
-        """`bench-perf --compare OLD NEW` prints the delta table from
-        the saved reports without measuring anything."""
-        import json
-
-        def report(points):
-            return {"schema": "repro-bench-engine/1",
-                    "mode": "quiescent", "points": points}
-
-        old = tmp_path / "old.json"
-        new = tmp_path / "new.json"
-        old.write_text(json.dumps(report({
-            "KMEANS/nuba+mdr": {"cycles": 16128, "wall_seconds": 1.6,
-                                "cycles_per_second": 10000.0},
-            "AN/nuba": {"cycles": 39680, "wall_seconds": 4.0,
-                        "cycles_per_second": 9920.0},
-        })))
-        new.write_text(json.dumps(report({
-            "KMEANS/nuba+mdr": {"cycles": 16128, "wall_seconds": 1.2,
-                                "cycles_per_second": 13440.0},
-        })))
-        assert main(["bench-perf", "--compare", str(old), str(new)]) == 0
-        out = capsys.readouterr().out
-        assert "1.34x" in out and "+34.4%" in out
-        assert "only in old report" in out
 
 
 class TestReport:

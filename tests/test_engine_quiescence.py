@@ -128,6 +128,14 @@ def test_untraced_runs_match_too() -> None:
     assert (q_cycle, q_result, q_stats) == (s_cycle, s_result, s_stats)
 
 
+def test_back_to_back_runs_identical() -> None:
+    """The busy-path caches live for the process: a second run starts
+    with warm intern tables and a stocked request freelist, and must
+    equal the first."""
+    key = CONFIGS[3].values[0]
+    assert _run(key, strict=False)[:5] == _run(key, strict=False)[:5]
+
+
 def test_profiled_run_still_skips_and_matches() -> None:
     """TickProfiler's record wrappers must honor the activity
     contract: wrapped components still sleep (the wrappers count the

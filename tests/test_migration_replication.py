@@ -109,8 +109,9 @@ def _mmu_over(driver, sm_id):
 
 
 class TestMigrationInvalidation:
-    """Migration must invalidate every fast-lane cache that could hold
-    the old placement: TLB entries via the generation bump, while frame-pure route memos stay valid."""
+    """Migration must invalidate every cache that could hold the old
+    placement: TLB entries via the generation bump, while frame-pure
+    route memos stay valid."""
 
     def _migrate_page(self, driver, manager):
         """Fault vpage 1 onto channel 0, hammer it from partition 3 and
@@ -152,20 +153,27 @@ class TestMigrationInvalidation:
             # channel -- migration changed vpage->frame, not the route.
             assert amap.route_of_line(amap.line_addr(old_frame, line))[0] == 0
 
-    def test_flush_routes_drops_memos_but_not_answers(self):
+    def test_route_memos_survive_migration(self):
+        """Memos warmed on the page's frame before it migrates, then
+        read on both frames after: every answer is a cold map's."""
         driver = _driver()
         manager = _manager(driver, [])
-        old_frame, new_frame = self._migrate_page(driver, manager)
         amap = driver.address_map
-        before = {
-            frame: amap.route_of_line(amap.line_addr(frame, 0))
-            for frame in (old_frame, new_frame)
-        }
-        assert amap._route_cache  # memo warmed by the lookups above
-        amap.flush_routes()
-        assert not amap._route_cache and not amap._bank_cache
-        for frame, route in before.items():
-            assert amap.route_of_line(amap.line_addr(frame, 0)) == route
+        old_frame = driver.handle_fault(vpage=1, sm_id=0)
+        for line in range(GPU.lines_per_page):
+            amap.route_of_line(amap.line_addr(old_frame, line))
+            amap.bank_of_line(amap.line_addr(old_frame, line))
+        for _ in range(20):
+            driver.note_access(1, sm_id=6)
+        manager.on_interval(1000)
+        new_frame = driver.page_table.lookup(1)
+        assert new_frame != old_frame
+        cold = make_address_map(GPU, AddressMapKind.FIXED_CHANNEL)
+        for frame in (new_frame, old_frame):
+            for line in range(GPU.lines_per_page):
+                addr = amap.line_addr(frame, line)
+                assert amap.route_of_line(addr) == cold.route_of_line(addr)
+                assert amap.bank_of_line(addr) == cold.bank_of_line(addr)
 
 
 class TestReplicationInvalidation:

@@ -1,7 +1,11 @@
-"""Memory-request and tracker tests."""
+"""Memory-request, freelist and tracker tests."""
+
+import dataclasses
+import itertools
 
 import pytest
 
+from repro.sim import request as request_mod
 from repro.sim.request import (
     AccessKind,
     LINE_BYTES,
@@ -81,6 +85,78 @@ class TestLifecycle:
         b = MemoryRequest(AccessKind.LOAD, 7, sm_id=0)
         assert a != b
         assert len({a, b}) == 2
+
+
+def _dirty(value):
+    """A value of the same kind as ``value`` that differs from it."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 977
+    if isinstance(value, str):
+        return value + "dirty"
+    if isinstance(value, AccessKind):
+        return (AccessKind.STORE if value is not AccessKind.STORE
+                else AccessKind.ATOMIC)
+    return object()  # None and callbacks
+
+
+class TestRequestPool:
+    """``acquire`` recycles released requests.  The reference is the
+    constructor: a recycled request must equal ``MemoryRequest(...)``
+    built with the same arguments, field by field."""
+
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        """An empty freelist, so the next ``acquire`` recycles exactly
+        the request the test released."""
+        pool = []
+        monkeypatch.setattr(request_mod, "_pool", pool)
+        return pool
+
+    def _released_dirty_request(self, pool):
+        request = request_mod.acquire(AccessKind.LOAD, 1, 0)
+        for spec in dataclasses.fields(MemoryRequest):
+            setattr(request, spec.name,
+                    _dirty(getattr(request, spec.name)))
+        request_mod.release(request)
+        assert pool == [request]
+        return request
+
+    @staticmethod
+    def _assert_same_fields(recycled, fresh):
+        for spec in dataclasses.fields(MemoryRequest):
+            assert (getattr(recycled, spec.name)
+                    == getattr(fresh, spec.name)), spec.name
+
+    def test_recycled_request_equals_constructed(self, pool):
+        dirty = self._released_dirty_request(pool)
+        args = (AccessKind.ATOMIC, 0x1234, 5)
+        kwargs = dict(vpage=42, req_id=9001, issue_cycle=77,
+                      on_complete=print)
+        recycled = request_mod.acquire(*args, **kwargs)
+        assert recycled is dirty and not pool
+        self._assert_same_fields(recycled, MemoryRequest(*args, **kwargs))
+
+    def test_recycled_defaults_equal_constructor_defaults(self, pool,
+                                                          monkeypatch):
+        """With only the required arguments, both draw the id from the
+        shared counter and leave every other field at its default."""
+        dirty = self._released_dirty_request(pool)
+        monkeypatch.setattr(request_mod, "_req_ids", itertools.count(500))
+        recycled = request_mod.acquire(AccessKind.LOAD, 3, 1)
+        assert recycled is dirty
+        monkeypatch.setattr(request_mod, "_req_ids", itertools.count(500))
+        self._assert_same_fields(recycled,
+                                 MemoryRequest(AccessKind.LOAD, 3, 1))
+
+    def test_full_pool_leaves_request_to_the_collector(self, pool,
+                                                       monkeypatch):
+        monkeypatch.setattr(request_mod, "_POOL_LIMIT", 1)
+        first = MemoryRequest(AccessKind.LOAD, 0, sm_id=0)
+        request_mod.release(first)
+        request_mod.release(MemoryRequest(AccessKind.LOAD, 1, sm_id=0))
+        assert pool == [first]
 
 
 class TestTracker:

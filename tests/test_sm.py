@@ -1,109 +1,141 @@
-"""SM tests: warps, GTO scheduling, CTAs, coalescing and the core."""
+"""SM tests: warps, GTO scheduling, CTAs, coalescing and the core.
+
+Warp and scheduler behaviour is checked on an ``SMCore`` ticked cycle
+by cycle (tests/sm_harness.py): the issue loop in ``SMCore._issue`` is
+the only place the GTO policy and the warp's fetch run.
+"""
 
 import pytest
 
 from repro.config.presets import small_config
 from repro.sim.request import AccessKind
 from repro.sm.coalescer import coalesce, coalescing_degree
-from repro.sm.cta import CTA, DistributedCTAScheduler
-from repro.sm.scheduler import GTOScheduler
-from repro.sm.warp import Compute, MemAccess, Warp, make_stream
+from repro.sm.cta import DistributedCTAScheduler
+from repro.sm.warp import Compute, Warp, make_stream
+from tests.sm_harness import SMHarness, load, store
 
 
-def _warp(instructions, warp_id=0, cta_id=0):
-    return Warp(warp_id, cta_id, make_stream(instructions))
+def _on_one_scheduler(*streams):
+    """A harness whose warps run ``streams``, all on scheduler 0.
+
+    Warps alternate between the SM's two schedulers, so each stream is
+    followed by an empty one for scheduler 1.  Returns the harness,
+    the warps in age order and scheduler 0.
+    """
+    padded = []
+    for stream in streams:
+        padded += [list(stream), []]
+    h = SMHarness(padded)
+    return h, h.warps[0::2], h.sm.schedulers[0]
 
 
 class TestWarp:
     def test_executes_stream(self):
-        warp = _warp([Compute(2), Compute(1)])
-        assert warp.next_instruction() == Compute(2)
-        assert warp.next_instruction() == Compute(1)
-        assert warp.next_instruction() is None
-        assert warp.done
+        """Each instruction issues once its predecessor's latency has
+        passed; the end of the stream marks the warp done."""
+        h = SMHarness([[Compute(2), Compute(1)]])
+        warp = h.warps[0]
+        h.run(1)  # cycle 0: Compute(2), ready again at 2
+        assert warp.instructions_issued == 1
+        h.run(2)  # cycle 2: Compute(1), ready again at 3
+        assert warp.instructions_issued == 2 and not warp.done
+        h.run(1)  # cycle 3: the stream ends
+        assert warp.done and warp.instructions_issued == 2
 
     def test_blocks_on_loads(self):
-        warp = _warp([])
-        warp.block_on_loads(2)
-        assert not warp.is_ready(0)
-        warp.load_returned()
-        warp.load_returned()
-        assert warp.is_ready(0)
+        h = SMHarness([[load((3, 0), (3, 1)), Compute(1)]], mapped={3})
+        warp = h.warps[0]
+        h.run_until(lambda: len(h.sent) == 2)
+        assert warp.outstanding == 2
+        h.reply(h.sent[0])
+        h.run(5)
+        assert warp.outstanding == 1
+        assert warp.instructions_issued == 1  # still blocked
+        h.reply(h.sent[1])
+        h.run(1)
+        assert warp.outstanding == 0
+        assert warp.instructions_issued == 2
 
     def test_load_return_underflow_raises(self):
+        warp = Warp(0, 0, make_stream([]))
         with pytest.raises(RuntimeError):
-            _warp([]).load_returned()
+            warp.load_returned()
 
     def test_ready_respects_ready_at(self):
-        warp = _warp([Compute(1)])
-        warp.ready_at = 10
-        assert not warp.is_ready(9)
-        assert warp.is_ready(10)
+        h = SMHarness([[Compute(10), Compute(1)]])
+        warp = h.warps[0]
+        h.run(10)  # cycles 0-9
+        assert warp.instructions_issued == 1
+        h.run(1)  # cycle 10
+        assert warp.instructions_issued == 2
 
     def test_stalled_instruction_replayed(self):
-        access = MemAccess(AccessKind.LOAD, ((0, 0),))
-        warp = _warp([access, Compute(1)])
-        assert warp.next_instruction() is access
-        warp.stalled_instr = access  # SM could not issue it
-        assert warp.next_instruction() is access  # replayed
-        assert warp.next_instruction() == Compute(1)
+        """A load the full LSU turned away issues again before the
+        stream advances."""
+        # 49 store lines to cold pages fill the LSU past its limit for
+        # hundreds of cycles (see TestLinesInTheLSU).
+        first = store(*[(page, 0) for page in range(100, 132)])
+        second = store(*[(page, 0) for page in range(200, 217)])
+        probe = load((300, 0))
+        h = SMHarness([[first, second, probe, Compute(7)]])
+        warp = h.warps[0]
+        h.run(3)
+        assert warp.stalled_instr is probe
+        h.run_until(lambda: h.sm.loads_issued == 1, limit=5000)
+        assert warp.stalled_instr is None
+        assert warp.instructions_issued == 3
+        assert list(warp.stream) == [Compute(7)]  # not fetched yet
 
     def test_finished_needs_drained_loads(self):
-        warp = _warp([])
-        warp.block_on_loads(1)
-        warp.next_instruction()
-        assert warp.done and not warp.finished
-        warp.load_returned()
-        assert warp.finished
+        h = SMHarness([[load((3, 0))]], mapped={3})
+        warp = h.warps[0]
+        h.run_until(lambda: h.sent)
+        h.run(20)
+        assert not warp.finished and not warp.done
+        h.reply(h.sent[0])
+        h.run(1)  # the load returns and the warp reaches the stream end
+        assert warp.done and warp.finished
 
 
 class TestGTOScheduler:
     def test_greedy_sticks_to_same_warp(self):
-        sched = GTOScheduler()
-        a = _warp([Compute(1)] * 5, warp_id=0)
-        b = _warp([Compute(1)] * 5, warp_id=1)
-        sched.add_warp(a)
-        sched.add_warp(b)
-        assert sched.pick(0) is a
-        assert sched.pick(1) is a  # greedy
+        h, (a, b), sched = _on_one_scheduler([Compute(1)] * 5,
+                                             [Compute(1)] * 5)
+        h.run(5)
+        assert (a.instructions_issued, b.instructions_issued) == (5, 0)
+        assert sched.issues == 5
 
     def test_falls_back_to_oldest_on_stall(self):
-        sched = GTOScheduler()
-        a = _warp([Compute(1)], warp_id=0)
-        b = _warp([Compute(1)], warp_id=1)
-        sched.add_warp(a)
-        sched.add_warp(b)
-        assert sched.pick(0) is a
-        a.block_on_loads(1)
-        sched.notify_stall(a)
-        assert sched.pick(1) is b
+        h, (a, b, c), _ = _on_one_scheduler(
+            [load((3, 0)), Compute(1)], [Compute(1)] * 3, [Compute(1)] * 3)
+        h.run(1)
+        assert a.outstanding == 1  # the load stalls the greedy warp
+        h.run(3)
+        assert (b.instructions_issued, c.instructions_issued) == (3, 0)
 
     def test_oldest_ready_preferred(self):
-        sched = GTOScheduler()
-        a = _warp([Compute(1)], warp_id=0)
-        b = _warp([Compute(1)], warp_id=1)
-        sched.add_warp(a)
-        sched.add_warp(b)
-        a.ready_at = 100
-        assert sched.pick(0) is b
-        # When a becomes ready it is oldest, but greedy prefers b first.
-        assert sched.pick(100) is b
+        h, (a, b), _ = _on_one_scheduler([Compute(10), Compute(1)],
+                                         [Compute(1)] * 20)
+        h.run(11)  # cycles 0-10
+        # While a waits out its latency, b (the oldest ready warp) takes
+        # the slot; once a is ready again, greedy b keeps it.
+        assert (a.instructions_issued, b.instructions_issued) == (1, 10)
 
     def test_none_when_all_stalled(self):
-        sched = GTOScheduler()
-        a = _warp([Compute(1)])
-        sched.add_warp(a)
-        a.block_on_loads(1)
-        assert sched.pick(0) is None
+        h, (a,), sched = _on_one_scheduler([load((3, 0)), Compute(1)])
+        h.run(1)
+        assert sched.idle_cycles == 0
+        h.run(1)
+        assert a.outstanding == 1
         assert sched.idle_cycles == 1
 
     def test_remove_warp(self):
-        sched = GTOScheduler()
-        a = _warp([Compute(1)])
-        sched.add_warp(a)
-        sched.pick(0)
+        h, (a, b), sched = _on_one_scheduler([Compute(1)] * 5,
+                                             [Compute(1)] * 5)
+        h.run(1)  # a is the greedy warp
         sched.remove_warp(a)
-        assert sched.pick(1) is None
+        h.run(2)
+        assert (a.instructions_issued, b.instructions_issued) == (1, 2)
 
 
 class TestDistributedCTAScheduler:
@@ -138,9 +170,7 @@ class TestDistributedCTAScheduler:
                                         warp_factory=self._factory)
         cta = sched.next_cta(0)
         assert not cta.finished
-        warp = cta.warps[0]
-        warp.next_instruction()
-        warp.next_instruction()
+        cta.warps[0].done = True  # as the SM marks a stream's end
         assert cta.finished
 
     def test_needs_ctas(self):
@@ -223,11 +253,14 @@ class TestBarriers:
         assert sm.l1.flushes > flushes_before
 
     def test_warp_at_barrier_not_ready(self):
-        warp = _warp([])
+        h = SMHarness([[Compute(1)]])
+        warp = h.warps[0]
         warp.at_barrier = True
-        assert not warp.is_ready(0)
+        h.run(3)
+        assert warp.instructions_issued == 0
         warp.at_barrier = False
-        assert warp.is_ready(0)
+        h.run(1)
+        assert warp.instructions_issued == 1
 
 
 class TestLinesInTheLSU:

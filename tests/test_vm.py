@@ -104,16 +104,12 @@ class TestL1TLBMRUFrontCache:
         assert (tlb.hits, tlb.misses) == (2, 0)
 
     def test_mru_disabled_keeps_plain_lru(self):
-        from repro.sim import fastlane
-
-        # No fast-lane flag gates the TLB: disabled() changes nothing.
-        with fastlane.disabled():
-            tlb = L1TLB(2)
-            tlb.fill(1, 10)
-            tlb.fill(2, 20)
-            assert tlb.lookup(1) == (True, 10)
-            tlb.fill(3, 30)  # evicts 2, now the LRU
-            assert tlb.lookup(2) == (False, -1)
+        tlb = L1TLB(2)
+        tlb.fill(1, 10)
+        tlb.fill(2, 20)
+        assert tlb.lookup(1) == (True, 10)
+        tlb.fill(3, 30)  # evicts 2, now the LRU
+        assert tlb.lookup(2) == (False, -1)
 
 
 class TestL2TLB:

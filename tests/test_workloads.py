@@ -201,3 +201,34 @@ class TestRegion:
     def test_slab_minimum_one_page(self):
         region = Region("r", 0, 2)
         assert region.slab(5, 8).pages == 1
+
+
+class TestInterning:
+    """Generators share one instruction object per distinct value.  The
+    reference is the instruction built directly."""
+
+    def test_interned_access_equals_direct_build(self):
+        from repro.workloads.patterns import LINES_PER_PAGE, _vaccess
+
+        span = 3 * LINES_PER_PAGE
+        # Starts inside the span, wrapping at its end, and beyond it.
+        for start in (0, 5, span - 2, span + 7, 3 * span + 1):
+            for count in (1, 4):
+                for kind in (AccessKind.LOAD, AccessKind.STORE):
+                    region = Region("x", 10, 3)
+                    direct = MemAccess(
+                        kind,
+                        tuple(region.line_target(start + k)
+                              for k in range(count)),
+                        space="x")
+                    interned = _vaccess(kind, region, start, count)
+                    assert interned == direct, (start, count, kind)
+                    # An equal region from another CTA shares the entry.
+                    again = _vaccess(kind, Region("x", 10, 3), start, count)
+                    assert again is interned
+
+    def test_interned_compute_equals_direct_build(self):
+        from repro.workloads.patterns import _compute
+
+        assert _compute(7) == Compute(7)
+        assert _compute(7) is _compute(7)
