@@ -1,11 +1,21 @@
-"""Fast-lane vs. plain-path equivalence (docs/PERFORMANCE.md, "Busy path").
+"""Busy-path caches vs. their miss paths (docs/PERFORMANCE.md, "Busy-path
+caches").
 
-The busy-path fast lane (``repro.sim.fastlane``) -- warp-body
-interning, the request freelist and precomputed address routing --
-must be *result-neutral*: a default run (fast lane
-on, quiescence engine) has to produce field-identical results, stats
-snapshots and tracer event streams compared to ``Simulator(strict=True)``
-with every fast-lane flag off, which is the unoptimised reference path.
+The simulator keeps three host-side caches on the busy path -- interned
+warp bodies (``repro.workloads.patterns``), the ``MemoryRequest``
+freelist (``repro.sim.request``) and the per-frame routing memos
+(``repro.vm.address_map.AddressMap``).  They must be *result-neutral*:
+a default run (caches live, quiescence engine) has to produce
+field-identical results, stats snapshots and tracer event streams
+compared to ``Simulator(strict=True)`` with every cache forced onto the
+code it runs on a miss, which is the unoptimised reference path.
+
+``strict=True`` alone is not that reference: a strict run uses the
+caches too.  The plain path here is built inside the test, by making
+each cache keep nothing (an empty freelist with a zero limit, intern
+tables and route memos that drop every store), so every request comes
+from the constructor, every instruction is built directly and every
+route is computed by the formula.
 
 Request ids come from a process-global counter that ends up in tracer
 event args, so each measured run reseeds it (same reasoning as
@@ -20,6 +30,7 @@ from dataclasses import asdict
 import pytest
 
 import repro.sim.request as request_mod
+import repro.workloads.patterns as patterns
 from repro.config.presets import small_config
 from repro.config.topology import (
     Architecture,
@@ -28,14 +39,14 @@ from repro.config.topology import (
 )
 from repro.experiments.runner import ExperimentRunner, RunKey
 from repro.obs import Tracer
-from repro.sim import fastlane
+from repro.vm.address_map import AddressMap
 from repro.workloads.suite import get_benchmark
 
 CHANNELS = 2
 
 #: One point per architecture the figure catalog exercises; the NUBA
 #: rows cover both the plain partitioned path and the MDR machinery
-#: (sampler, epochs, replica routing) the fast lane threads through.
+#: (sampler, epochs, replica routing) the caches thread through.
 CONFIGS = [
     pytest.param(
         RunKey("KMEANS", Architecture.MEM_SIDE_UBA,
@@ -60,15 +71,37 @@ CONFIGS = [
 ]
 
 
-def _run(key: RunKey, strict: bool):
-    """Build and run one system; returns (result, stats, events, cycle).
+class _KeepsNothing(dict):
+    """A memo table that never stores: every lookup misses."""
 
-    The caller controls the fast-lane flags; construction happens here,
-    inside whatever flag context is active, because several consumers
-    snapshot a flag at construction time.
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
+def _force_miss_paths(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Put every busy-path cache on its miss path until the test ends."""
+    monkeypatch.setattr(request_mod, "_pool", [])
+    monkeypatch.setattr(request_mod, "_POOL_LIMIT", 0)
+    monkeypatch.setattr(patterns, "_mem_interned", _KeepsNothing())
+    monkeypatch.setattr(patterns, "_compute_interned", _KeepsNothing())
+    original_init = AddressMap.__init__
+
+    def init_without_memos(self, gpu) -> None:
+        original_init(self, gpu)
+        self._route_cache = _KeepsNothing()
+        self._bank_cache = _KeepsNothing()
+
+    monkeypatch.setattr(AddressMap, "__init__", init_without_memos)
+
+
+def _run(key: RunKey, strict: bool):
+    """Build and run one system; returns (result, stats, events, cycle,
+    address map).
+
+    Construction happens here, after the caller has chosen the cache
+    paths, because the route memos are made with the address map.
     """
     request_mod._req_ids = itertools.count()
-    fastlane.reset()
     runner = ExperimentRunner(
         base_gpu=small_config(num_channels=CHANNELS), strict=strict,
     )
@@ -86,41 +119,31 @@ def _run(key: RunKey, strict: bool):
         system.stats_snapshot().as_dict(),
         events,
         system.sim.cycle,
+        system.address_map,
     )
 
 
 @pytest.mark.parametrize("key", CONFIGS)
-def test_fast_lane_is_bit_identical_to_plain_path(key: RunKey) -> None:
-    """Default run == strict engine with every fast-lane flag off."""
-    assert fastlane.FLAGS.snapshot() == {
-        "intern_bodies": True, "request_pool": True, "route_table": True,
-    }
+def test_fast_lane_is_bit_identical_to_plain_path(
+        key: RunKey, monkeypatch: pytest.MonkeyPatch) -> None:
+    """Default run == strict engine with every cache on its miss path."""
     fast = _run(key, strict=False)
-    with fastlane.disabled():
-        plain = _run(key, strict=True)
-    f_result, f_stats, f_events, f_cycle = fast
-    p_result, p_stats, p_events, p_cycle = plain
+    # The default run must actually have used each cache, or the
+    # comparison proves nothing about them.
+    assert request_mod._pool
+    assert patterns._mem_interned and patterns._compute_interned
+    assert fast[4]._route_cache and fast[4]._bank_cache
+
+    _force_miss_paths(monkeypatch)
+    plain = _run(key, strict=True)
+    assert not request_mod._pool
+    assert not patterns._mem_interned and not patterns._compute_interned
+    assert not plain[4]._route_cache and not plain[4]._bank_cache
+
+    f_result, f_stats, f_events, f_cycle, _ = fast
+    p_result, p_stats, p_events, p_cycle, _ = plain
     assert f_cycle == p_cycle
     assert f_result == p_result
     assert f_stats == p_stats
     assert len(f_events) == len(p_events)
     assert f_events == p_events
-
-
-def test_disabled_context_restores_flags_and_clears_caches() -> None:
-    """``disabled()`` must leave no trace: flags restored, caches
-    (request pool, interned bodies) emptied on both entry and exit."""
-    before = fastlane.FLAGS.snapshot()
-    # Populate the request pool so the exit-side clear is observable.
-    request = request_mod.acquire(request_mod.AccessKind.LOAD, 0, 0)
-    request_mod.release(request)
-    assert request_mod._pool
-    with fastlane.disabled():
-        assert not any(fastlane.FLAGS.snapshot().values())
-        assert not request_mod._pool  # cleared on entry
-        # With the pool flag off, released requests are not retained.
-        inner = request_mod.acquire(request_mod.AccessKind.LOAD, 1, 0)
-        request_mod.release(inner)
-        assert not request_mod._pool
-    assert fastlane.FLAGS.snapshot() == before
-    assert not request_mod._pool  # cleared on exit
