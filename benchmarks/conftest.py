@@ -1,22 +1,28 @@
-"""Shared fixtures for the per-figure benchmark harness.
+"""Shared fixtures for the figure benches.
 
 One :class:`~repro.experiments.runner.ExperimentRunner` is shared by the
 whole benchmark session, so figures that derive from the same runs
 (7, 8, 9, 13) simulate each point exactly once.
 
-By default each bench uses a representative subset of the 29 Table 2
-benchmarks so ``pytest benchmarks/ --benchmark-only`` finishes in
-minutes. Set ``REPRO_BENCH_FULL=1`` to sweep the complete suite (hours),
-which is what EXPERIMENTS.md numbers were recorded with where noted.
+``bench_figures.py`` runs every figure of
+:data:`repro.experiments.figures.FIGURES` but Table 2 (which
+``bench_table2_workloads.py`` prints) and asserts its claims. The
+subset each figure runs is chosen here (:func:`figure_subset`): by
+default a representative subset of the 29 Table 2 benchmarks, smaller
+for the expensive sweeps, so ``pytest benchmarks/ --benchmark-only``
+finishes in minutes. Set ``REPRO_BENCH_FULL=1`` to sweep the complete
+suite (hours), which is what EXPERIMENTS.md numbers were recorded with
+where noted. Figure 12 always runs its nine benchmarks.
 
 Environment knobs:
 
 * ``REPRO_BENCH_CACHE=dir`` -- persist results on disk so repeated
   bench invocations (or a sweep killed half-way) resume instead of
   re-simulating.
-* ``REPRO_BENCH_WORKERS=N`` -- before each figure runs, its declarative
-  sweep (see :mod:`repro.orchestrator.catalog`) is executed across N
-  worker processes via the
+* ``REPRO_BENCH_WORKERS=N`` -- before each figure runs, its sweep (the
+  points of its definition, via
+  :func:`~repro.orchestrator.catalog.figure_sweep`) is executed across
+  N worker processes via the
   :class:`~repro.orchestrator.SweepOrchestrator`; the figure then
   renders from cache. ``1`` (the default) keeps the historical serial
   behaviour.
@@ -27,6 +33,7 @@ import os
 
 import pytest
 
+from repro.experiments.figures import FIGURES
 from repro.experiments.runner import ExperimentRunner
 
 #: Representative subset: 5 low-sharing + 6 high-sharing benchmarks
@@ -39,10 +46,28 @@ SUBSET = [
 
 #: Smaller subset for the expensive sweeps (Figures 10, 14, 16, §7.6).
 SWEEP_SUBSET = ["KMEANS", "DWT2D", "AN", "2MM", "BT", "SC"]
+SWEEP_FIGURES = ("fig10", "fig14", "fig16", "sec76")
+
+#: Figure 12's high-sharing benchmarks, its claims' replication winners
+#: (2MM, AN) and losers (BT, BICG) among them.
+FIG12_BENCHES = ["2MM", "AN", "SN", "RN", "LEU", "BT", "GRU", "BICG", "SC"]
+
+#: The figures ``bench_figures.py`` runs, in the paper's order: all but
+#: Table 2, which ``bench_table2_workloads.py`` prints.
+BENCHED_FIGURES = [name for name in FIGURES if name != "table2"]
 
 
 def _full() -> bool:
     return os.environ.get("REPRO_BENCH_FULL", "") == "1"
+
+
+def figure_subset(name: str):
+    """The benchmarks a figure bench runs (None: the whole suite)."""
+    if name == "fig12":
+        return FIG12_BENCHES
+    if _full():
+        return None
+    return SWEEP_SUBSET if name in SWEEP_FIGURES else SUBSET
 
 
 def _workers() -> int:
@@ -105,16 +130,6 @@ def prewarm(orchestrator, runner):
         return orchestrator.run(sweep)
 
     return _prewarm
-
-
-@pytest.fixture(scope="session")
-def bench_subset():
-    return None if _full() else SUBSET
-
-
-@pytest.fixture(scope="session")
-def sweep_subset():
-    return None if _full() else SWEEP_SUBSET
 
 
 def run_once(benchmark, fn):

@@ -3,12 +3,7 @@
 from repro.analysis.charts import bar_chart, grouped_bar_chart, sparkline
 from repro.analysis.sharing import SHARING_BUCKETS, sharing_profile
 from repro.analysis.timeline import TimelineRecorder, timeline_chart
-from repro.analysis.report import (
-    format_table,
-    geometric_mean,
-    improvement_summary,
-    speedup_table,
-)
+from repro.analysis.report import format_table
 
 __all__ = [
     "SHARING_BUCKETS",
@@ -17,9 +12,6 @@ __all__ = [
     "grouped_bar_chart",
     "sparkline",
     "format_table",
-    "geometric_mean",
-    "improvement_summary",
     "sharing_profile",
-    "speedup_table",
     "timeline_chart",
 ]

@@ -1,44 +1,8 @@
-"""Result formatting: speedup tables and improvement summaries.
-
-The paper "computes average speedup using the harmonic mean and then
-reports average improvement as a percentage" (Section 6); these helpers
-apply the same convention so benchmark output is directly comparable to
-the paper's numbers.
-"""
+"""Plain-text tables for figures, benches and the CLI."""
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, List, Mapping, Sequence
-
-from repro.sim.stats import harmonic_mean
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean of positive values."""
-    values = list(values)
-    if not values:
-        raise ValueError("geometric_mean of empty sequence")
-    if any(v <= 0 for v in values):
-        raise ValueError("geometric_mean requires positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
-def improvement_summary(speedups: Mapping[str, float]) -> Dict[str, float]:
-    """Harmonic-mean improvement plus min/max, paper-style."""
-    if not speedups:
-        raise ValueError("no speedups to summarise")
-    mean = harmonic_mean(speedups.values())
-    best = max(speedups, key=speedups.get)
-    worst = min(speedups, key=speedups.get)
-    return {
-        "mean_improvement_pct": (mean - 1.0) * 100.0,
-        "max_improvement_pct": (speedups[best] - 1.0) * 100.0,
-        "min_improvement_pct": (speedups[worst] - 1.0) * 100.0,
-        "best": best,
-        "worst": worst,
-        "count": len(speedups),
-    }
+from typing import Sequence
 
 
 def format_table(
@@ -60,38 +24,3 @@ def format_table(
     )
     return "\n".join(lines)
 
-
-def speedup_table(
-    cycles_by_arch: Mapping[str, Mapping[str, int]],
-    baseline: str,
-) -> str:
-    """Render per-benchmark speedups of every architecture vs a baseline.
-
-    ``cycles_by_arch[arch][bench]`` are simulated cycles.
-    """
-    if baseline not in cycles_by_arch:
-        raise KeyError(f"baseline {baseline!r} missing")
-    benches: List[str] = sorted(cycles_by_arch[baseline])
-    archs = [a for a in cycles_by_arch if a != baseline]
-    rows = []
-    for bench in benches:
-        base_cycles = cycles_by_arch[baseline][bench]
-        row = [bench, base_cycles]
-        for arch in archs:
-            row.append(
-                f"{base_cycles / cycles_by_arch[arch][bench]:.3f}x"
-            )
-        rows.append(row)
-    # Harmonic-mean summary row.
-    summary = ["hmean", ""]
-    for arch in archs:
-        speedups = [
-            cycles_by_arch[baseline][b] / cycles_by_arch[arch][b]
-            for b in benches
-        ]
-        summary.append(f"{harmonic_mean(speedups):.3f}x")
-    rows.append(summary)
-    headers = [
-        "benchmark", f"{baseline} cycles"
-    ] + [f"{arch} speedup" for arch in archs]
-    return format_table(headers, rows)

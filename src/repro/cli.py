@@ -70,22 +70,6 @@ from repro.experiments import figures
 from repro.experiments.runner import ExperimentRunner
 from repro.workloads.suite import BENCHMARKS, get_benchmark
 
-#: Figure name -> harness function.
-FIGURES = {
-    "table2": lambda runner, subset: figures.table2_catalogue(),
-    "fig3": figures.fig3_sharing,
-    "fig7": figures.fig7_performance,
-    "fig8": figures.fig8_bandwidth,
-    "fig9": figures.fig9_miss_breakdown,
-    "fig10": figures.fig10_noc_power,
-    "fig11": figures.fig11_page_allocation,
-    "fig12": figures.fig12_replication,
-    "fig13": figures.fig13_energy,
-    "fig14": figures.fig14_sensitivity,
-    "fig16": figures.fig16_mcm,
-    "sec76": figures.sec76_alternatives,
-}
-
 
 def _architecture(name: str) -> Architecture:
     aliases = {
@@ -163,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--bench", required=True)
 
     figure = sub.add_parser("figure", help="regenerate a paper figure")
-    figure.add_argument("name", choices=sorted(FIGURES))
+    figure.add_argument("name", choices=sorted(figures.FIGURES))
     figure.add_argument("--subset", nargs="*", default=None,
                         help="benchmark abbreviations (default: a "
                              "representative subset)")
@@ -187,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "parallel orchestrator, then render them",
     )
     sweep.add_argument("names", nargs="+",
-                       choices=sorted(FIGURES) + ["all"],
+                       choices=sorted(figures.FIGURES) + ["all"],
                        help="figures to sweep ('all' = every figure)")
     sweep.add_argument("--subset", nargs="*", default=None)
     sweep.add_argument("--full", action="store_true",
@@ -310,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=PagePolicy.LAB.value,
     )
     submit.add_argument("--figure", default=None,
-                        choices=sorted(FIGURES),
+                        choices=sorted(figures.FIGURES),
                         help="submit a whole figure's sweep instead")
     submit.add_argument("--subset", nargs="*", default=None,
                         help="benchmarks for --figure")
@@ -525,19 +509,12 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    gpu = small_config()
+    runner = ExperimentRunner()
     rows = []
     results = {}
-    for label, arch, rep in [
-        ("mem-side UBA", Architecture.MEM_SIDE_UBA, ReplicationPolicy.NONE),
-        ("NUBA (LAB+MDR)", Architecture.NUBA, ReplicationPolicy.MDR),
-    ]:
-        topo = TopologySpec(architecture=arch, replication=rep,
-                            mdr_epoch=2000)
-        system = build_system(gpu, topo)
-        workload = get_benchmark(args.bench).instantiate(gpu)
-        results[label] = system.run_workload(workload)
-        result = results[label]
+    for label, key in [("mem-side UBA", figures.uba_key(args.bench)),
+                       ("NUBA (LAB+MDR)", figures.nuba_key(args.bench))]:
+        result = results[label] = runner.run(key)
         rows.append([
             label, result.cycles,
             f"{result.replies_per_cycle:.3f}",
@@ -634,8 +611,7 @@ def _cmd_figure(args) -> int:
     subset = _figure_subset(args)
     if args.workers > 1:
         _prewarm(runner, [args.name], subset, args)
-    result = FIGURES[args.name](runner, subset)
-    print(result.render())
+    print(figures.run_figure(args.name, runner, subset).render())
     if observer is not None:
         for line in observer.summary():
             print(f"observed {line}", file=sys.stderr)
@@ -645,7 +621,7 @@ def _cmd_figure(args) -> int:
 def _cmd_sweep(args) -> int:
     runner = _make_runner(args.channels, args.store)
     subset = _figure_subset(args)
-    names = sorted(FIGURES) if "all" in args.names else list(
+    names = sorted(figures.FIGURES) if "all" in args.names else list(
         dict.fromkeys(args.names)
     )
     sharded = args.shard is not None and args.shard[1] > 1
@@ -663,7 +639,7 @@ def _cmd_sweep(args) -> int:
               f"shards, then re-run unsharded with the same --store "
               f"to merge and complete stragglers", file=sys.stderr)
     if not args.no_render:
-        sections = [FIGURES[name](runner, subset).render()
+        sections = [figures.run_figure(name, runner, subset).render()
                     for name in names]
         print("\n\n".join(sections))
     return 1 if failed else 0
@@ -678,10 +654,8 @@ def _cmd_report(args) -> int:
     subset = args.subset or DEFAULT_SUBSET
     if args.workers > 1:
         _prewarm(runner, list(REPORT_FIGURES), subset, args)
-    sections = []
-    for name in REPORT_FIGURES:
-        result = FIGURES[name](runner, subset)
-        sections.append(result.render())
+    sections = [figures.run_figure(name, runner, subset).render()
+                for name in REPORT_FIGURES]
     text = "\n\n".join(sections) + "\n"
     if args.out:
         with open(args.out, "w") as handle:

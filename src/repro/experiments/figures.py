@@ -1,35 +1,43 @@
-"""Per-figure experiment definitions.
+"""The paper's tables and figures, each defined once.
 
-Each ``figN_*`` function reproduces one table or figure of the paper:
-it runs the required (benchmark x configuration) points through an
-:class:`~repro.experiments.runner.ExperimentRunner`, returns the raw
-series and renders a plain-text table shaped like the paper's plot.
-EXPERIMENTS.md records the paper-vs-measured comparison for each.
+A :class:`Figure` lists the labelled (benchmark x configuration) points
+it needs and a build step that reads their results by label and returns
+the table, the summary and the figure's *claims*: the paper's shapes as
+named booleans computed from the same numbers (stored on the result,
+never rendered). :data:`FIGURES` registers every entry by name;
+:func:`run_figure` runs one through an
+:class:`~repro.experiments.runner.ExperimentRunner`, and
+:func:`~repro.orchestrator.catalog.figure_sweep` hands the same points
+to the sweep orchestrator. EXPERIMENTS.md records the paper-vs-measured
+comparison for each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.analysis.charts import bar_chart
-from repro.analysis.report import format_table, improvement_summary
+from repro.analysis.report import format_table
 from repro.analysis.sharing import SHARING_BUCKETS, sharing_profile
+from repro.config.gpu import GPUConfig
 from repro.config.topology import (
     AddressMapKind,
     Architecture,
     PagePolicy,
     ReplicationPolicy,
 )
+from repro.core.system import RunResult
 from repro.experiments.runner import ExperimentRunner, RunKey
-from repro.sim.stats import harmonic_mean
+from repro.sim.stats import harmonic_mean, percent_improvement
 from repro.workloads.suite import BENCHMARKS, HIGH_SHARING, LOW_SHARING
 
-
-def _benches(subset: Optional[Sequence[str]]) -> List[str]:
-    if subset is None:
-        return list(BENCHMARKS)
-    return list(subset)
+#: A labelled point: ``("<bench>/<variant>", key)``.
+Point = Tuple[str, RunKey]
+#: Point label -> its result.
+Results = Mapping[str, RunResult]
 
 
 def uba_key(bench: str) -> RunKey:
@@ -54,6 +62,25 @@ def nuba_key(bench: str) -> RunKey:
                   replication=ReplicationPolicy.MDR)
 
 
+def _norep_with(policy: PagePolicy) -> Callable[[str], RunKey]:
+    """NUBA-No-Rep with another page policy."""
+    return lambda bench: RunKey(bench, Architecture.NUBA,
+                                replication=ReplicationPolicy.NONE,
+                                page_policy=policy)
+
+
+def _per_bench(benches: Sequence[str],
+               variants: Mapping[str, Callable[[str], RunKey]]
+               ) -> List[Point]:
+    """Every variant of each benchmark, labelled ``<bench>/<variant>``."""
+    return [(f"{bench}/{tag}", make(bench))
+            for bench in benches for tag, make in variants.items()]
+
+
+def _sharing(benches: Iterable[str], group: str) -> List[str]:
+    return [b for b in benches if BENCHMARKS[b].sharing == group]
+
+
 @dataclass
 class FigureResult:
     """Raw series plus a rendered table for one figure."""
@@ -66,6 +93,12 @@ class FigureResult:
     #: table, visually mirroring the paper's figure).
     chart: Dict[str, float] = field(default_factory=dict)
     chart_reference: Optional[float] = None
+    #: The paper's shapes as named booleans, computed from the same
+    #: numbers as the table. A claim over some benchmarks (a sharing
+    #: group, Figure 12's named ones) checks only those in the run; one
+    #: over a group's mean is left out when the run has none of the
+    #: group. Never rendered.
+    claims: Dict[str, bool] = field(default_factory=dict)
 
     def render(self) -> str:
         """Render the table, optional chart and summary as text."""
@@ -84,6 +117,26 @@ class FigureResult:
                 else:
                     lines.append(f"{name}: {value}")
         return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One table or figure of the paper.
+
+    ``points(gpu, benches)`` lists the labelled RunKeys it needs, in
+    sweep order; ``build(results, benches)`` reads their results by
+    label. Table 2 and Figure 3 read no stored results: their
+    ``points`` is None and their ``build`` takes the runner instead.
+    """
+
+    build: Callable[..., FigureResult]
+    points: Optional[Callable[[GPUConfig, List[str]], List[Point]]] = None
+    #: The benchmarks it runs when no subset is given.
+    benchmarks: Tuple[str, ...] = tuple(BENCHMARKS)
+
+    def select(self, subset: Optional[Sequence[str]]) -> List[str]:
+        """The benchmarks of a run: ``subset``, or the default set."""
+        return list(self.benchmarks if subset is None else subset)
 
 
 # ----------------------------------------------------------------------
@@ -111,12 +164,12 @@ def table2_catalogue() -> FigureResult:
     )
 
 
-def fig3_sharing(runner: ExperimentRunner,
-                 benchmarks: Optional[Sequence[str]] = None) -> FigureResult:
+def _fig3(runner: ExperimentRunner, benches: List[str]) -> FigureResult:
     """Figure 3: memory-page sharing degree per benchmark."""
     rows = []
     mismatches = 0
-    for bench in _benches(benchmarks):
+    single_sm = {}
+    for bench in benches:
         system, _ = runner.run_system(uba_key(bench))
         profile = sharing_profile(
             bench, system.sharing_histogram(), system.gpu.num_sms
@@ -125,12 +178,19 @@ def fig3_sharing(runner: ExperimentRunner,
         measured = profile.classify()
         if measured != expected:
             mismatches += 1
+        single_sm[bench] = profile.unshared_fraction * 100
         rows.append(profile.row() + [expected, measured])
     return FigureResult(
         figure="Figure 3: page sharing degree",
         headers=["bench"] + SHARING_BUCKETS + ["expected", "measured"],
         rows=rows,
         summary={"classification_mismatches": mismatches},
+        claims={
+            "sharing_class_matches_table2": mismatches <= 1,
+            "low_sharing_pages_mostly_single_sm": all(
+                single_sm[b] > 70.0 for b in _sharing(benches, "low")
+            ),
+        },
     )
 
 
@@ -138,110 +198,122 @@ def fig3_sharing(runner: ExperimentRunner,
 # Figures 7-9: iso-resource performance, bandwidth, miss breakdown
 # ----------------------------------------------------------------------
 
-def fig7_performance(runner: ExperimentRunner,
-                     benchmarks: Optional[Sequence[str]] = None,
-                     include_sm_side: bool = True) -> FigureResult:
+#: Figure 7's machines, in sweep order. Its labels are the ``ch4/``
+#: pin ids of ``bench/expected.json``.
+FIG7_VARIANTS = {
+    "uba": uba_key,
+    "sm-uba": sm_uba_key,
+    "nuba-norep": nuba_norep_key,
+    "nuba": nuba_key,
+}
+
+#: Figures 8 and 9 read three of Figure 7's machines (Figure 13 two).
+_ISO_VARIANTS = {"uba": uba_key, "nuba-norep": nuba_norep_key,
+                 "nuba": nuba_key}
+
+
+def _fig7(results: Results, benches: List[str]) -> FigureResult:
     """Figure 7: NUBA / NUBA-No-Rep speedups over memory-side UBA."""
-    benches = _benches(benchmarks)
     rows = []
-    speedups = {"sm-side": {}, "nuba-norep": {}, "nuba": {}}
+    speedups = {"sm-uba": {}, "nuba-norep": {}, "nuba": {}}
     for bench in benches:
-        base = runner.run(uba_key(bench))
-        norep = runner.run(nuba_norep_key(bench))
-        full = runner.run(nuba_key(bench))
+        base = results[f"{bench}/uba"]
         row = [bench, base.cycles]
-        if include_sm_side:
-            sm = runner.run(sm_uba_key(bench))
-            speedups["sm-side"][bench] = sm.speedup_over(base)
-            row.append(f"{sm.speedup_over(base):.3f}x")
-        speedups["nuba-norep"][bench] = norep.speedup_over(base)
-        speedups["nuba"][bench] = full.speedup_over(base)
-        row.append(f"{norep.speedup_over(base):.3f}x")
-        row.append(f"{full.speedup_over(base):.3f}x")
+        for tag, series in speedups.items():
+            series[bench] = results[f"{bench}/{tag}"].speedup_over(base)
+            row.append(f"{series[bench]:.3f}x")
         rows.append(row)
 
     summary = {}
+    claims = {}
     for group, names in [("low", LOW_SHARING), ("high", HIGH_SHARING),
                          ("all", list(BENCHMARKS))]:
         subset = [b for b in names if b in speedups["nuba"]]
-        if subset:
-            summary[f"nuba_improvement_{group}_pct"] = (
-                harmonic_mean([speedups["nuba"][b] for b in subset]) - 1
-            ) * 100
-            summary[f"nuba_norep_improvement_{group}_pct"] = (
-                harmonic_mean([speedups["nuba-norep"][b] for b in subset])
-                - 1
-            ) * 100
-    if include_sm_side and speedups["sm-side"]:
-        summary["sm_side_improvement_all_pct"] = (
-            harmonic_mean(list(speedups["sm-side"].values())) - 1
-        ) * 100
-    headers = ["bench", "UBA cycles"]
-    if include_sm_side:
-        headers.append("SM-side UBA")
-    headers += ["NUBA-No-Rep", "NUBA"]
+        if not subset:
+            continue
+        nuba, norep = (
+            percent_improvement([speedups[tag][b] for b in subset])
+            for tag in ("nuba", "nuba-norep")
+        )
+        summary[f"nuba_improvement_{group}_pct"] = nuba
+        summary[f"nuba_norep_improvement_{group}_pct"] = norep
+        if group == "low":
+            claims["norep_gains_on_low_sharing"] = norep > 0.0
+        elif group == "high":
+            claims["mdr_lifts_high_sharing"] = nuba > norep
+        else:
+            claims["nuba_beats_uba_overall"] = nuba > 5.0
+    if speedups["sm-uba"]:
+        sm = summary["sm_side_improvement_all_pct"] = percent_improvement(
+            speedups["sm-uba"].values())
+        # The paper reports +1.0%: SM-side UBA must not dominate either way.
+        claims["sm_side_uba_close_to_mem_side"] = abs(sm) < 25.0
     return FigureResult(
         "Figure 7: performance vs memory-side UBA",
-        headers, rows, summary,
-        chart={b: s for b, s in speedups["nuba"].items()},
+        ["bench", "UBA cycles", "SM-side UBA", "NUBA-No-Rep", "NUBA"],
+        rows, summary,
+        chart=dict(speedups["nuba"]),
         chart_reference=1.0,
+        claims=claims,
     )
 
 
-def fig8_bandwidth(runner: ExperimentRunner,
-                   benchmarks: Optional[Sequence[str]] = None) -> FigureResult:
+def _iso_results(results: Results, bench: str) -> List[RunResult]:
+    return [results[f"{bench}/{tag}"] for tag in _ISO_VARIANTS]
+
+
+def _fig8(results: Results, benches: List[str]) -> FigureResult:
     """Figure 8: perceived memory bandwidth (replies/cycle)."""
     rows = []
     ratios = {}
-    for bench in _benches(benchmarks):
-        base = runner.run(uba_key(bench))
-        norep = runner.run(nuba_norep_key(bench))
-        full = runner.run(nuba_key(bench))
-        rows.append([
-            bench,
-            f"{base.replies_per_cycle:.3f}",
-            f"{norep.replies_per_cycle:.3f}",
-            f"{full.replies_per_cycle:.3f}",
+    for bench in benches:
+        base, norep, full = _iso_results(results, bench)
+        rows.append([bench] + [
+            f"{r.replies_per_cycle:.3f}" for r in (base, norep, full)
         ])
         if base.replies_per_cycle > 0:
             ratios[bench] = full.replies_per_cycle / base.replies_per_cycle
     summary = {}
+    claims = {}
     if ratios:
-        summary["nuba_bandwidth_improvement_pct"] = (
-            harmonic_mean(list(ratios.values())) - 1
-        ) * 100
+        gain = summary["nuba_bandwidth_improvement_pct"] = percent_improvement(
+            ratios.values())
+        claims["nuba_delivers_more_bandwidth"] = gain > 0.0
     return FigureResult(
         "Figure 8: perceived bandwidth (replies/cycle)",
         ["bench", "UBA", "NUBA-No-Rep", "NUBA"], rows, summary,
+        claims=claims,
     )
 
 
-def fig9_miss_breakdown(runner: ExperimentRunner,
-                        benchmarks: Optional[Sequence[str]] = None
-                        ) -> FigureResult:
+def _fig9(results: Results, benches: List[str]) -> FigureResult:
     """Figure 9: local vs remote breakdown of L1 misses."""
     rows = []
     local_fracs = []
-    for bench in _benches(benchmarks):
-        base = runner.run(uba_key(bench))
-        norep = runner.run(nuba_norep_key(bench))
-        full = runner.run(nuba_key(bench))
-        rows.append([
-            bench,
-            f"{base.local_fraction * 100:.1f}%",
-            f"{norep.local_fraction * 100:.1f}%",
-            f"{full.local_fraction * 100:.1f}%",
+    for bench in benches:
+        base, norep, full = _iso_results(results, bench)
+        rows.append([bench] + [
+            f"{r.local_fraction * 100:.1f}%" for r in (base, norep, full)
         ])
         local_fracs.append(full.local_fraction)
     summary = {}
+    claims = {
+        # UBA is remote by construction.
+        "uba_misses_all_remote": all(
+            results[f"{b}/uba"].local_fraction == 0.0 for b in benches),
+        "low_sharing_local_under_nuba": all(
+            results[f"{b}/nuba"].local_fraction * 100 > 50.0
+            for b in _sharing(benches, "low")),
+    }
     if local_fracs:
-        summary["nuba_mean_local_pct"] = (
+        mean = summary["nuba_mean_local_pct"] = (
             100 * sum(local_fracs) / len(local_fracs)
         )
+        claims["nuba_mostly_local"] = mean > 40.0
     return FigureResult(
         "Figure 9: L1 misses served locally",
         ["bench", "UBA local", "NUBA-No-Rep local", "NUBA local"],
-        rows, summary,
+        rows, summary, claims=claims,
     )
 
 
@@ -249,52 +321,78 @@ def fig9_miss_breakdown(runner: ExperimentRunner,
 # Figure 10: performance vs NoC power
 # ----------------------------------------------------------------------
 
-def fig10_noc_power(runner: ExperimentRunner,
-                    benchmarks: Optional[Sequence[str]] = None,
-                    noc_points=(700.0, 1400.0, 5600.0)) -> FigureResult:
+#: Figure 10's NoC bandwidths at paper scale (0.5x, 1x and 4x of the
+#: 1.4 TB/s iso NoC); each scales with the simulated GPU's NoC.
+NOC_POINTS = (700.0, 1400.0, 5600.0)
+#: Figure 10's machines: (row label, point label, architecture,
+#: replication).
+_FIG10_ARCHS = (
+    ("UBA", "uba", Architecture.MEM_SIDE_UBA, ReplicationPolicy.NONE),
+    ("SM-UBA", "sm-uba", Architecture.SM_SIDE_UBA, ReplicationPolicy.NONE),
+    ("NUBA", "nuba", Architecture.NUBA, ReplicationPolicy.MDR),
+)
+
+
+def _fig10_points(gpu: GPUConfig, benches: List[str]) -> List[Point]:
+    scale = gpu.noc.total_bandwidth_gbps / 1400.0
+    points = [(f"{bench}/uba-iso", uba_key(bench)) for bench in benches]
+    for _, label, arch, rep in _FIG10_ARCHS:
+        for point in NOC_POINTS:
+            points += [
+                (f"{bench}/{label}@{point:.0f}",
+                 RunKey(bench, arch, replication=rep,
+                        noc_gbps=point * scale))
+                for bench in benches
+            ]
+    return points
+
+
+def _fig10(results: Results, benches: List[str]) -> FigureResult:
     """Figure 10: performance and NoC power across NoC bandwidths.
 
     The baseline small configuration scales 1.4 TB/s to 350 GB/s, so the
     sweep keeps the paper's *ratios*: 0.5x, 1x and 4x of the iso NoC.
     """
-    benches = _benches(benchmarks)
-    base_noc = runner.base_gpu.noc.total_bandwidth_gbps
-    scale = base_noc / 1400.0
     rows = []
-    summary = {}
-    baseline_keys = {b: uba_key(b) for b in benches}
-    reference_power = None
-    for arch, rep, label in [
-        (Architecture.MEM_SIDE_UBA, ReplicationPolicy.NONE, "UBA"),
-        (Architecture.SM_SIDE_UBA, ReplicationPolicy.NONE, "SM-UBA"),
-        (Architecture.NUBA, ReplicationPolicy.MDR, "NUBA"),
-    ]:
-        for point in noc_points:
-            gbps = point * scale
+    perf = {}
+    power = {}
+    for row_label, label, _, _ in _FIG10_ARCHS:
+        for point in NOC_POINTS:
             speedups = []
             noc_power = 0.0
             for bench in benches:
-                key = RunKey(bench, arch, replication=rep, noc_gbps=gbps)
-                result = runner.run(key)
-                base = runner.run(baseline_keys[bench])
+                result = results[f"{bench}/{label}@{point:.0f}"]
+                base = results[f"{bench}/uba-iso"]
                 speedups.append(result.speedup_over(base))
                 noc_power += result.energy.noc / max(1, result.cycles)
             noc_power /= len(benches)
-            perf = harmonic_mean(speedups)
-            if label == "UBA" and point == noc_points[1]:
-                reference_power = noc_power
+            perf[label, point] = harmonic_mean(speedups)
+            power[label, point] = noc_power
             rows.append([
-                label, f"{point:.0f} GB/s (paper-scale)",
-                f"{perf:.3f}x", f"{noc_power:.3f}",
+                row_label, f"{point:.0f} GB/s (paper-scale)",
+                f"{perf[label, point]:.3f}x", f"{noc_power:.3f}",
             ])
-    if reference_power:
+    small, iso, big = NOC_POINTS
+    if power["uba", iso]:
         for row in rows:
-            row.append(f"{reference_power / float(row[3]):.2f}x")
+            # The saving divides by the printed (rounded) power.
+            row.append(f"{power['uba', iso] / float(row[3]):.2f}x")
     return FigureResult(
         "Figure 10: performance vs NoC power",
         ["arch", "NoC bandwidth", "perf vs iso-UBA", "NoC power",
          "power saving vs iso-UBA"],
-        rows, summary,
+        rows,
+        claims={
+            # The paper reports parity with the 4x-NoC UBA; the scaled
+            # UBA keeps gaining from NoC bandwidth slightly longer.
+            "half_noc_nuba_near_iso_uba":
+                perf["nuba", small] >= perf["uba", iso] * 0.80,
+            "half_noc_nuba_saves_noc_power":
+                power["uba", big] > 4.0 * power["nuba", small],
+            "uba_more_noc_sensitive_than_nuba":
+                perf["uba", big] / perf["uba", small]
+                > perf["nuba", big] / perf["nuba", small],
+        },
     )
 
 
@@ -302,88 +400,113 @@ def fig10_noc_power(runner: ExperimentRunner,
 # Figure 11 / 12: LAB and MDR component studies
 # ----------------------------------------------------------------------
 
-def fig11_page_allocation(runner: ExperimentRunner,
-                          benchmarks: Optional[Sequence[str]] = None
-                          ) -> FigureResult:
+_FIG11_POLICIES = {
+    "ft": PagePolicy.FIRST_TOUCH,
+    "rr": PagePolicy.ROUND_ROBIN,
+    "lab": PagePolicy.LAB,
+}
+
+
+def _fig11_points(gpu: GPUConfig, benches: List[str]) -> List[Point]:
+    variants = {"uba": uba_key}
+    variants.update((tag, _norep_with(policy))
+                    for tag, policy in _FIG11_POLICIES.items())
+    return _per_bench(benches, variants)
+
+
+def _fig11(results: Results, benches: List[str]) -> FigureResult:
     """Figure 11: first-touch vs round-robin vs LAB on NUBA-No-Rep."""
-    benches = _benches(benchmarks)
     rows = []
-    speedups = {p: {} for p in ("ft", "rr", "lab")}
+    speedups = {tag: {} for tag in _FIG11_POLICIES}
     for bench in benches:
-        base = runner.run(uba_key(bench))
-        results = {}
-        for tag, policy in [("ft", PagePolicy.FIRST_TOUCH),
-                            ("rr", PagePolicy.ROUND_ROBIN),
-                            ("lab", PagePolicy.LAB)]:
-            key = RunKey(bench, Architecture.NUBA,
-                         replication=ReplicationPolicy.NONE,
-                         page_policy=policy)
-            results[tag] = runner.run(key)
-            speedups[tag][bench] = results[tag].speedup_over(base)
+        base = results[f"{bench}/uba"]
+        for tag, series in speedups.items():
+            series[bench] = results[f"{bench}/{tag}"].speedup_over(base)
         rows.append([bench] + [
-            f"{speedups[tag][bench]:.3f}x" for tag in ("ft", "rr", "lab")
+            f"{series[bench]:.3f}x" for series in speedups.values()
         ])
-    summary = {}
-    for tag in ("ft", "rr", "lab"):
-        summary[f"{tag}_improvement_pct"] = (
-            harmonic_mean(list(speedups[tag].values())) - 1
-        ) * 100
-    lab_vs_ft = harmonic_mean([
-        speedups["lab"][b] / speedups["ft"][b] for b in benches
-    ])
-    lab_vs_rr = harmonic_mean([
-        speedups["lab"][b] / speedups["rr"][b] for b in benches
-    ])
-    summary["lab_vs_first_touch_pct"] = (lab_vs_ft - 1) * 100
-    summary["lab_vs_round_robin_pct"] = (lab_vs_rr - 1) * 100
+    ft, rr, lab = speedups["ft"], speedups["rr"], speedups["lab"]
+    summary = {f"{tag}_improvement_pct": percent_improvement(series.values())
+               for tag, series in speedups.items()}
+    summary["lab_vs_first_touch_pct"] = percent_improvement(
+        [lab[b] / ft[b] for b in benches])
+    summary["lab_vs_round_robin_pct"] = percent_improvement(
+        [lab[b] / rr[b] for b in benches])
     return FigureResult(
         "Figure 11: page allocation on NUBA",
         ["bench", "first-touch", "round-robin", "LAB"], rows, summary,
+        claims={
+            "lab_beats_first_touch": summary["lab_vs_first_touch_pct"] > 0.0,
+            "lab_competitive_with_round_robin":
+                summary["lab_vs_round_robin_pct"] > -10.0,
+            "lab_holds_first_touch_on_high_sharing": all(
+                lab[b] >= ft[b] * 0.95 for b in _sharing(benches, "high")
+            ),
+        },
     )
 
 
-def fig12_replication(runner: ExperimentRunner,
-                      benchmarks: Optional[Sequence[str]] = None
-                      ) -> FigureResult:
+#: Benchmarks whose read-only sets are small enough to replicate.
+REPLICATION_WINNERS = ("2MM", "AN")
+#: Benchmarks whose read-only sets thrash the LLC when replicated.
+REPLICATION_LOSERS = ("BT", "BICG")
+
+
+def _fig12_points(gpu: GPUConfig, benches: List[str]) -> List[Point]:
+    return _per_bench(benches, {
+        "nuba-norep": nuba_norep_key,
+        "full-rep": lambda bench: RunKey(
+            bench, Architecture.NUBA, replication=ReplicationPolicy.FULL),
+        "mdr": nuba_key,
+    })
+
+
+def _fig12(results: Results, benches: List[str]) -> FigureResult:
     """Figure 12: no-replication vs full replication vs MDR (LAB)."""
-    benches = _benches(benchmarks if benchmarks is not None
-                       else HIGH_SHARING)
     rows = []
-    speedups = {p: {} for p in ("full", "mdr")}
+    full = {}
+    mdr = {}
     for bench in benches:
-        norep = runner.run(nuba_norep_key(bench))
-        full = runner.run(
-            RunKey(bench, Architecture.NUBA,
-                   replication=ReplicationPolicy.FULL)
-        )
-        mdr = runner.run(nuba_key(bench))
-        speedups["full"][bench] = full.speedup_over(norep)
-        speedups["mdr"][bench] = mdr.speedup_over(norep)
+        norep = results[f"{bench}/nuba-norep"]
+        full_rep = results[f"{bench}/full-rep"]
+        full[bench] = full_rep.speedup_over(norep)
+        mdr[bench] = results[f"{bench}/mdr"].speedup_over(norep)
         rows.append([
             bench,
-            f"{speedups['full'][bench]:.3f}x",
-            f"{speedups['mdr'][bench]:.3f}x",
+            f"{full[bench]:.3f}x",
+            f"{mdr[bench]:.3f}x",
             f"{norep.llc_hit_rate:.2f}",
-            f"{full.llc_hit_rate:.2f}",
+            f"{full_rep.llc_hit_rate:.2f}",
         ])
     summary = {
-        "mdr_vs_norep_pct": (
-            harmonic_mean(list(speedups["mdr"].values())) - 1
-        ) * 100,
-        "full_vs_norep_pct": (
-            harmonic_mean(list(speedups["full"].values())) - 1
-        ) * 100,
+        "mdr_vs_norep_pct": percent_improvement(mdr.values()),
+        "full_vs_norep_pct": percent_improvement(full.values()),
         "mdr_never_much_worse_than_norep": all(
-            s >= 0.93 for s in speedups["mdr"].values()
+            s >= 0.93 for s in mdr.values()
         ),
     }
+    winners = [b for b in REPLICATION_WINNERS if b in full]
+    losers = [b for b in REPLICATION_LOSERS if b in full]
     return FigureResult(
         "Figure 12: data replication on NUBA (vs No-Rep)",
         ["bench", "Full-Rep", "MDR", "LLC hit (No-Rep)",
          "LLC hit (Full-Rep)"],
         rows, summary,
-        chart=dict(speedups["mdr"]),
+        chart=dict(mdr),
         chart_reference=1.0,
+        claims={
+            "full_rep_helps_small_ro_sets": all(
+                full[b] > 1.15 for b in winners),
+            "full_rep_hurts_large_ro_sets": all(
+                full[b] < 1.0 for b in losers),
+            "mdr_follows_full_rep_where_it_helps": all(
+                mdr[b] > 1.10 for b in winners),
+            "mdr_protects_where_full_rep_hurts": all(
+                mdr[b] > full[b] for b in losers),
+            "mdr_gains_on_average": summary["mdr_vs_norep_pct"] > 0.0,
+            "mdr_never_much_worse_than_norep":
+                summary["mdr_never_much_worse_than_norep"],
+        },
     )
 
 
@@ -391,17 +514,14 @@ def fig12_replication(runner: ExperimentRunner,
 # Figure 13: energy
 # ----------------------------------------------------------------------
 
-def fig13_energy(runner: ExperimentRunner,
-                 benchmarks: Optional[Sequence[str]] = None
-                 ) -> FigureResult:
+def _fig13(results: Results, benches: List[str]) -> FigureResult:
     """Figure 13: normalised GPU energy, NoC vs rest."""
-    benches = _benches(benchmarks)
     rows = []
     noc_savings = []
     total_savings = []
     for bench in benches:
-        base = runner.run(uba_key(bench))
-        nuba = runner.run(nuba_key(bench))
+        base = results[f"{bench}/uba"]
+        nuba = results[f"{bench}/nuba"]
         norm = nuba.energy.normalized_to(base.energy)
         base_norm = base.energy.normalized_to(base.energy)
         rows.append([
@@ -413,17 +533,20 @@ def fig13_energy(runner: ExperimentRunner,
         if base.energy.noc > 0:
             noc_savings.append(1 - nuba.energy.noc / base.energy.noc)
         total_savings.append(1 - norm["total"])
-    summary = {
-        "mean_noc_energy_saving_pct": 100 * sum(noc_savings)
-        / max(1, len(noc_savings)),
-        "mean_total_energy_saving_pct": 100 * sum(total_savings)
-        / max(1, len(total_savings)),
-    }
+    noc = 100 * sum(noc_savings) / max(1, len(noc_savings))
+    total = 100 * sum(total_savings) / max(1, len(total_savings))
     return FigureResult(
         "Figure 13: normalised energy (UBA=1.0)",
         ["bench", "UBA NoC", "UBA rest", "NUBA NoC", "NUBA rest",
          "NUBA total"],
-        rows, summary,
+        rows,
+        {"mean_noc_energy_saving_pct": noc,
+         "mean_total_energy_saving_pct": total},
+        claims={
+            "nuba_saves_noc_energy": noc > 20.0,
+            "nuba_saves_total_energy": total > 0.0,
+            "total_saving_below_noc_saving": total < noc,
+        },
     )
 
 
@@ -431,78 +554,80 @@ def fig13_energy(runner: ExperimentRunner,
 # Figure 14: sensitivity analyses
 # ----------------------------------------------------------------------
 
-def _mean_improvement(runner: ExperimentRunner, benches, nuba_kwargs,
-                      uba_kwargs) -> float:
-    speedups = []
-    for bench in benches:
-        nuba = runner.run(RunKey(bench, Architecture.NUBA,
-                                 replication=ReplicationPolicy.MDR,
-                                 **nuba_kwargs))
-        uba = runner.run(RunKey(bench, Architecture.MEM_SIDE_UBA,
-                                **uba_kwargs))
-        speedups.append(nuba.speedup_over(uba))
-    return (harmonic_mean(speedups) - 1) * 100
+#: Figure 14's NUBA-vs-UBA pairs: (axis, value, point tag, NUBA RunKey
+#: kwargs, UBA RunKey kwargs). The paper's 2 MB huge pages are 512x the
+#: 4 KB base; at the scaled footprints the equivalent sharing-degree
+#: shift comes from 4x pages.
+_FIG14_PAIRS = (
+    [("GPU size", f"{f:g}x", f"size{f:g}", {"size_factor": f},
+      {"size_factor": f}) for f in (0.5, 1.0, 2.0)]
+    + [("LLC slices/partition", str(spc), f"spc{spc}",
+        {"slices_per_channel": spc}, {"slices_per_channel": spc})
+       for spc in (1, 2, 4)]
+    + [("LLC capacity", f"{f:g}x", f"llc{f:g}",
+        {"llc_capacity_factor": f}, {"llc_capacity_factor": f})
+       for f in (0.5, 1.0, 2.0)]
+    + [("page size", label, f"page{size}", {"page_bytes": size},
+        {"page_bytes": size})
+       for size, label in [(4096, "4 KB"), (16384, "16 KB (scaled 2MB)")]]
+    + [("UBA address map", "PAE", "pae", {},
+        {"address_map": AddressMapKind.PAE})]
+)
+#: Figure 14's LAB thresholds, each on NUBA-No-Rep against plain UBA.
+LAB_THRESHOLDS = (0.8, 0.9, 0.95)
 
 
-def fig14_sensitivity(runner: ExperimentRunner,
-                      benchmarks: Optional[Sequence[str]] = None
-                      ) -> FigureResult:
-    """Figure 14: NUBA improvement across the design space."""
-    benches = _benches(benchmarks)
-    rows = []
-
-    for factor, label in [(0.5, "0.5x"), (1.0, "1x"), (2.0, "2x")]:
-        gain = _mean_improvement(
-            runner, benches,
-            {"size_factor": factor}, {"size_factor": factor},
-        )
-        rows.append(["GPU size", label, f"{gain:.1f}%"])
-
-    for spc in (1, 2, 4):
-        gain = _mean_improvement(
-            runner, benches,
-            {"slices_per_channel": spc}, {"slices_per_channel": spc},
-        )
-        rows.append(["LLC slices/partition", str(spc), f"{gain:.1f}%"])
-
-    for factor in (0.5, 1.0, 2.0):
-        gain = _mean_improvement(
-            runner, benches,
-            {"llc_capacity_factor": factor},
-            {"llc_capacity_factor": factor},
-        )
-        rows.append(["LLC capacity", f"{factor:g}x", f"{gain:.1f}%"])
-
-    #: The paper's 2 MB huge pages are 512x the 4 KB base; at our scaled
-    #: footprints the equivalent sharing-degree shift comes from 4x pages.
-    for page_bytes, label in [(4096, "4 KB"), (16384, "16 KB (scaled 2MB)")]:
-        gain = _mean_improvement(
-            runner, benches,
-            {"page_bytes": page_bytes}, {"page_bytes": page_bytes},
-        )
-        rows.append(["page size", label, f"{gain:.1f}%"])
-
-    gain = _mean_improvement(
-        runner, benches, {}, {"address_map": AddressMapKind.PAE},
-    )
-    rows.append(["UBA address map", "PAE", f"{gain:.1f}%"])
-
-    for threshold in (0.8, 0.9, 0.95):
-        speedups = []
+def _fig14_points(gpu: GPUConfig, benches: List[str]) -> List[Point]:
+    points = []
+    for _, _, tag, nuba_kwargs, uba_kwargs in _FIG14_PAIRS:
         for bench in benches:
-            nuba = runner.run(RunKey(
+            points.append((f"{bench}/nuba:{tag}", RunKey(
+                bench, Architecture.NUBA,
+                replication=ReplicationPolicy.MDR, **nuba_kwargs)))
+            points.append((f"{bench}/uba:{tag}", RunKey(
+                bench, Architecture.MEM_SIDE_UBA, **uba_kwargs)))
+    for threshold in LAB_THRESHOLDS:
+        for bench in benches:
+            points.append((f"{bench}/lab{threshold:g}", RunKey(
                 bench, Architecture.NUBA,
                 replication=ReplicationPolicy.NONE,
-                lab_threshold=threshold,
-            ))
-            uba = runner.run(uba_key(bench))
-            speedups.append(nuba.speedup_over(uba))
-        gain = (harmonic_mean(speedups) - 1) * 100
-        rows.append(["LAB threshold", f"{threshold:g}", f"{gain:.1f}%"])
+                lab_threshold=threshold)))
+            points.append((f"{bench}/uba", uba_key(bench)))
+    return points
 
+
+def _fig14(results: Results, benches: List[str]) -> FigureResult:
+    """Figure 14: NUBA improvement across the design space."""
+    rows = []
+    gains: Dict[str, List[float]] = {}
+    pairs = [(axis, value, f"nuba:{tag}", f"uba:{tag}")
+             for axis, value, tag, _, _ in _FIG14_PAIRS]
+    pairs += [("LAB threshold", f"{t:g}", f"lab{t:g}", "uba")
+              for t in LAB_THRESHOLDS]
+    for axis, value, nuba, uba in pairs:
+        gain = percent_improvement([
+            results[f"{b}/{nuba}"].speedup_over(results[f"{b}/{uba}"])
+            for b in benches
+        ])
+        gains.setdefault(axis, []).append(gain)
+        rows.append([axis, value, f"{gain:.1f}%"])
+    capacity = gains["LLC capacity"]
+    slices = gains["LLC slices/partition"]
+    thresholds = gains["LAB threshold"]
     return FigureResult(
         "Figure 14: sensitivity analyses (NUBA improvement over UBA)",
         ["axis", "value", "improvement"], rows,
+        claims={
+            "nuba_helps_across_design_space": all(
+                g > -5.0 for axis in ("GPU size", "LLC slices/partition",
+                                      "LLC capacity", "page size")
+                for g in gains[axis]),
+            "llc_capacity_raises_gain": capacity[-1] > capacity[0],
+            "slices_raise_gain": slices[-1] > slices[0] - 3.0,
+            # The paper reports 14.5% / 14.8% / 13.1%.
+            "lab_threshold_is_mild": max(thresholds) - min(thresholds)
+            < 25.0,
+        },
     )
 
 
@@ -510,76 +635,148 @@ def fig14_sensitivity(runner: ExperimentRunner,
 # Figure 16 / Section 7.6: MCM and allocation alternatives
 # ----------------------------------------------------------------------
 
-def fig16_mcm(runner: ExperimentRunner,
-              benchmarks: Optional[Sequence[str]] = None,
-              modules: int = 4) -> FigureResult:
+#: Figure 16's MCM splits the 2x-size GPU into four modules.
+MCM_MODULES = 4
+
+
+def _fig16_points(gpu: GPUConfig, benches: List[str]) -> List[Point]:
+    link_gbps = 720.0 * gpu.memory.total_bandwidth_gbps / 720.0 / 4
+    mcm = {"size_factor": 2.0, "mcm_modules": MCM_MODULES,
+           "mcm_link_gbps": link_gbps}
+    mdr = ReplicationPolicy.MDR
+    return _per_bench(benches, {
+        "mono-uba": lambda b: RunKey(b, Architecture.MEM_SIDE_UBA,
+                                     size_factor=2.0),
+        "mono-nuba": lambda b: RunKey(b, Architecture.NUBA,
+                                      replication=mdr, size_factor=2.0),
+        "mcm-uba": lambda b: RunKey(b, Architecture.MEM_SIDE_UBA, **mcm),
+        "mcm-nuba": lambda b: RunKey(b, Architecture.NUBA,
+                                     replication=mdr, **mcm),
+    })
+
+
+def _fig16(results: Results, benches: List[str]) -> FigureResult:
     """Figure 16: NUBA on an MCM GPU vs a monolithic GPU.
 
     Both systems are 2x the base size; the MCM splits it into four
     modules with scarce inter-module links.
     """
-    benches = _benches(benchmarks)
     rows = []
     mono_speedups = []
     mcm_speedups = []
-    link_gbps = (
-        720.0 * runner.base_gpu.memory.total_bandwidth_gbps / 720.0 / 4
-    )
     for bench in benches:
-        mono_uba = runner.run(RunKey(bench, Architecture.MEM_SIDE_UBA,
-                                     size_factor=2.0))
-        mono_nuba = runner.run(RunKey(bench, Architecture.NUBA,
-                                      replication=ReplicationPolicy.MDR,
-                                      size_factor=2.0))
-        mcm_uba = runner.run(RunKey(bench, Architecture.MEM_SIDE_UBA,
-                                    size_factor=2.0, mcm_modules=modules,
-                                    mcm_link_gbps=link_gbps))
-        mcm_nuba = runner.run(RunKey(bench, Architecture.NUBA,
-                                     replication=ReplicationPolicy.MDR,
-                                     size_factor=2.0, mcm_modules=modules,
-                                     mcm_link_gbps=link_gbps))
-        mono = mono_nuba.speedup_over(mono_uba)
-        mcm = mcm_nuba.speedup_over(mcm_uba)
+        mono = results[f"{bench}/mono-nuba"].speedup_over(
+            results[f"{bench}/mono-uba"])
+        mcm = results[f"{bench}/mcm-nuba"].speedup_over(
+            results[f"{bench}/mcm-uba"])
         mono_speedups.append(mono)
         mcm_speedups.append(mcm)
         rows.append([bench, f"{mono:.3f}x", f"{mcm:.3f}x"])
-    summary = {
-        "monolithic_improvement_pct": (
-            harmonic_mean(mono_speedups) - 1) * 100,
-        "mcm_improvement_pct": (harmonic_mean(mcm_speedups) - 1) * 100,
-    }
+    mono = percent_improvement(mono_speedups)
+    mcm = percent_improvement(mcm_speedups)
     return FigureResult(
         "Figure 16: NUBA on MCM vs monolithic (2x size)",
-        ["bench", "monolithic NUBA/UBA", "MCM NUBA/UBA"], rows, summary,
+        ["bench", "monolithic NUBA/UBA", "MCM NUBA/UBA"], rows,
+        {"monolithic_improvement_pct": mono, "mcm_improvement_pct": mcm},
+        claims={
+            "nuba_helps_monolithic": mono > 0.0,
+            "nuba_helps_mcm": mcm > 0.0,
+            "mcm_gains_at_least_monolithic": mcm >= mono - 3.0,
+        },
     )
 
 
-def sec76_alternatives(runner: ExperimentRunner,
-                       benchmarks: Optional[Sequence[str]] = None
-                       ) -> FigureResult:
+_SEC76_VARIANTS = {
+    "uba": uba_key,
+    "lab": nuba_norep_key,
+    "migration": _norep_with(PagePolicy.MIGRATION),
+    "page-rep": _norep_with(PagePolicy.PAGE_REPLICATION),
+}
+
+
+def _sec76(results: Results, benches: List[str]) -> FigureResult:
     """Section 7.6: page migration and page replication vs LAB."""
-    benches = _benches(benchmarks)
     rows = []
+    speedups = {tag: {} for tag in ("lab", "migration", "page-rep")}
     for bench in benches:
-        base = runner.run(uba_key(bench))
-        lab = runner.run(nuba_norep_key(bench))
-        migration = runner.run(RunKey(
-            bench, Architecture.NUBA,
-            replication=ReplicationPolicy.NONE,
-            page_policy=PagePolicy.MIGRATION,
-        ))
-        page_rep = runner.run(RunKey(
-            bench, Architecture.NUBA,
-            replication=ReplicationPolicy.NONE,
-            page_policy=PagePolicy.PAGE_REPLICATION,
-        ))
-        rows.append([
-            bench,
-            f"{lab.speedup_over(base):.3f}x",
-            f"{migration.speedup_over(base):.3f}x",
-            f"{page_rep.speedup_over(base):.3f}x",
+        base = results[f"{bench}/uba"]
+        for tag, series in speedups.items():
+            series[bench] = results[f"{bench}/{tag}"].speedup_over(base)
+        rows.append([bench] + [
+            f"{series[bench]:.3f}x" for series in speedups.values()
         ])
+    claims = {}
+    high = _sharing(benches, "high")
+    if high:
+        lab, migration, page_rep = (
+            harmonic_mean([series[b] for b in high])
+            for series in speedups.values()
+        )
+        claims["lab_beats_migration_on_high_sharing"] = (
+            lab >= migration - 0.02)
+        claims["lab_beats_page_replication_on_high_sharing"] = (
+            lab >= page_rep - 0.02)
     return FigureResult(
         "Section 7.6: allocation alternatives (speedup over UBA)",
         ["bench", "LAB", "page migration", "page replication"], rows,
+        claims=claims,
     )
+
+
+# ----------------------------------------------------------------------
+# The registry
+# ----------------------------------------------------------------------
+
+#: Every table and figure of the paper, by name.
+FIGURES: Dict[str, Figure] = {
+    "table2": Figure(lambda runner, benches: table2_catalogue()),
+    "fig3": Figure(_fig3),
+    "fig7": Figure(_fig7, lambda gpu, benches: _per_bench(
+        benches, FIG7_VARIANTS)),
+    "fig8": Figure(_fig8, lambda gpu, benches: _per_bench(
+        benches, _ISO_VARIANTS)),
+    "fig9": Figure(_fig9, lambda gpu, benches: _per_bench(
+        benches, _ISO_VARIANTS)),
+    "fig10": Figure(_fig10, _fig10_points),
+    "fig11": Figure(_fig11, _fig11_points),
+    "fig12": Figure(_fig12, _fig12_points,
+                    benchmarks=tuple(HIGH_SHARING)),
+    "fig13": Figure(_fig13, lambda gpu, benches: _per_bench(
+        benches, {"uba": uba_key, "nuba": nuba_key})),
+    "fig14": Figure(_fig14, _fig14_points),
+    "fig16": Figure(_fig16, _fig16_points),
+    "sec76": Figure(_sec76, lambda gpu, benches: _per_bench(
+        benches, _SEC76_VARIANTS)),
+}
+
+
+def _figure(name: str) -> Figure:
+    try:
+        return FIGURES[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown figure {name!r}; known: {sorted(FIGURES)}"
+        ) from None
+
+
+def figure_points(name: str, gpu: GPUConfig,
+                  benchmarks: Optional[Sequence[str]] = None
+                  ) -> List[Point]:
+    """The labelled points figure ``name`` needs on ``gpu``, in sweep
+    order (none for Table 2 and Figure 3)."""
+    figure = _figure(name)
+    if figure.points is None:
+        return []
+    return figure.points(gpu, figure.select(benchmarks))
+
+
+def run_figure(name: str, runner: ExperimentRunner,
+               benchmarks: Optional[Sequence[str]] = None) -> FigureResult:
+    """Run figure ``name``'s points through ``runner`` and build it."""
+    figure = _figure(name)
+    benches = figure.select(benchmarks)
+    if figure.points is None:
+        return figure.build(runner, benches)
+    results = {label: runner.run(key)
+               for label, key in figure.points(runner.base_gpu, benches)}
+    return figure.build(results, benches)

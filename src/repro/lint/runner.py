@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.lint.baseline import Baseline
 from repro.lint.core import Checker, Finding, LintModule, iter_source_files

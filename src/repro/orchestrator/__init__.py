@@ -3,7 +3,7 @@ points executed over pluggable backends (inline, process pool,
 coordinator-free shards, remote service endpoints), resumable via the
 persistent result store."""
 
-from repro.orchestrator.catalog import FIGURE_SWEEPS, SWEEPABLE, figure_sweep
+from repro.orchestrator.catalog import figure_sweep
 from repro.orchestrator.executors import (
     BackendError,
     Backpressure,
@@ -24,8 +24,6 @@ from repro.orchestrator.progress import ProgressReporter
 from repro.orchestrator.sweep import Sweep, SweepPoint
 
 __all__ = [
-    "FIGURE_SWEEPS",
-    "SWEEPABLE",
     "figure_sweep",
     "BackendError",
     "Backpressure",

@@ -1,275 +1,23 @@
-"""Declarative sweeps for every paper figure.
+"""The sweep behind each paper figure.
 
-Each builder enumerates exactly the RunKeys its figure function in
-:mod:`repro.experiments.figures` will request, so running the sweep
-through the orchestrator first means the figure renders entirely from
-cache. The enumerations deliberately mirror the figure code key for
-key (``tests/test_orchestrator.py`` asserts the parity), including
-oddities like Figure 14 requesting ``page_bytes=4096`` explicitly even
-though that is the config default -- RunKeys compare structurally.
-
-Figure 3 and Table 2 have empty sweeps: Table 2 simulates nothing and
+A figure's points come from its one definition in
+:mod:`repro.experiments.figures`, so running the sweep through the
+orchestrator first means the figure renders entirely from cache.
+Table 2 and Figure 3 have empty sweeps: Table 2 simulates nothing and
 Figure 3 inspects live systems (sharing histograms), which cannot be
 reconstructed from stored RunResults.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.config.topology import (
-    AddressMapKind,
-    Architecture,
-    PagePolicy,
-    ReplicationPolicy,
-)
-from repro.experiments.figures import (
-    nuba_key,
-    nuba_norep_key,
-    sm_uba_key,
-    uba_key,
-)
-from repro.experiments.runner import ExperimentRunner, RunKey
+from repro.experiments.figures import figure_points
+from repro.experiments.runner import ExperimentRunner
 from repro.orchestrator.sweep import Sweep
-from repro.workloads.suite import BENCHMARKS, HIGH_SHARING
-
-
-def _benches(subset: Optional[Sequence[str]]) -> List[str]:
-    if subset is None:
-        return list(BENCHMARKS)
-    return list(subset)
-
-
-def fig7_sweep(runner: ExperimentRunner,
-               subset: Optional[Sequence[str]] = None) -> Sweep:
-    """Figure 7: UBA / SM-side UBA / NUBA-No-Rep / NUBA per benchmark."""
-    sweep = Sweep("fig7")
-    for bench in _benches(subset):
-        sweep.add(f"{bench}/uba", uba_key(bench))
-        sweep.add(f"{bench}/sm-uba", sm_uba_key(bench))
-        sweep.add(f"{bench}/nuba-norep", nuba_norep_key(bench))
-        sweep.add(f"{bench}/nuba", nuba_key(bench))
-    return sweep
-
-
-def fig8_sweep(runner: ExperimentRunner,
-               subset: Optional[Sequence[str]] = None) -> Sweep:
-    """Figure 8: perceived-bandwidth points (subset of Figure 7's)."""
-    sweep = Sweep("fig8")
-    for bench in _benches(subset):
-        sweep.add(f"{bench}/uba", uba_key(bench))
-        sweep.add(f"{bench}/nuba-norep", nuba_norep_key(bench))
-        sweep.add(f"{bench}/nuba", nuba_key(bench))
-    return sweep
-
-
-def fig9_sweep(runner: ExperimentRunner,
-               subset: Optional[Sequence[str]] = None) -> Sweep:
-    """Figure 9: identical points to Figure 8, relabelled."""
-    sweep = fig8_sweep(runner, subset)
-    sweep.name = "fig9"
-    return sweep
-
-
-def fig10_sweep(runner: ExperimentRunner,
-                subset: Optional[Sequence[str]] = None,
-                noc_points=(700.0, 1400.0, 5600.0)) -> Sweep:
-    """Figure 10: three architectures across three NoC bandwidths."""
-    benches = _benches(subset)
-    scale = runner.base_gpu.noc.total_bandwidth_gbps / 1400.0
-    sweep = Sweep("fig10")
-    for bench in benches:
-        sweep.add(f"{bench}/uba-iso", uba_key(bench))
-    for arch, rep, label in [
-        (Architecture.MEM_SIDE_UBA, ReplicationPolicy.NONE, "uba"),
-        (Architecture.SM_SIDE_UBA, ReplicationPolicy.NONE, "sm-uba"),
-        (Architecture.NUBA, ReplicationPolicy.MDR, "nuba"),
-    ]:
-        for point in noc_points:
-            for bench in benches:
-                sweep.add(
-                    f"{bench}/{label}@{point:.0f}",
-                    RunKey(bench, arch, replication=rep,
-                           noc_gbps=point * scale),
-                )
-    return sweep
-
-
-def fig11_sweep(runner: ExperimentRunner,
-                subset: Optional[Sequence[str]] = None) -> Sweep:
-    """Figure 11: first-touch vs round-robin vs LAB on NUBA-No-Rep."""
-    sweep = Sweep("fig11")
-    for bench in _benches(subset):
-        sweep.add(f"{bench}/uba", uba_key(bench))
-        for tag, policy in [("ft", PagePolicy.FIRST_TOUCH),
-                            ("rr", PagePolicy.ROUND_ROBIN),
-                            ("lab", PagePolicy.LAB)]:
-            sweep.add(
-                f"{bench}/{tag}",
-                RunKey(bench, Architecture.NUBA,
-                       replication=ReplicationPolicy.NONE,
-                       page_policy=policy),
-            )
-    return sweep
-
-
-def fig12_sweep(runner: ExperimentRunner,
-                subset: Optional[Sequence[str]] = None) -> Sweep:
-    """Figure 12: no-rep vs full replication vs MDR (high-sharing)."""
-    benches = list(subset) if subset is not None else list(HIGH_SHARING)
-    sweep = Sweep("fig12")
-    for bench in benches:
-        sweep.add(f"{bench}/nuba-norep", nuba_norep_key(bench))
-        sweep.add(
-            f"{bench}/full-rep",
-            RunKey(bench, Architecture.NUBA,
-                   replication=ReplicationPolicy.FULL),
-        )
-        sweep.add(f"{bench}/mdr", nuba_key(bench))
-    return sweep
-
-
-def fig13_sweep(runner: ExperimentRunner,
-                subset: Optional[Sequence[str]] = None) -> Sweep:
-    """Figure 13: energy points (UBA and full NUBA per benchmark)."""
-    sweep = Sweep("fig13")
-    for bench in _benches(subset):
-        sweep.add(f"{bench}/uba", uba_key(bench))
-        sweep.add(f"{bench}/nuba", nuba_key(bench))
-    return sweep
-
-
-def fig14_sweep(runner: ExperimentRunner,
-                subset: Optional[Sequence[str]] = None) -> Sweep:
-    """Figure 14: the whole sensitivity design space."""
-    benches = _benches(subset)
-    sweep = Sweep("fig14")
-
-    def pair(tag: str, nuba_kwargs: dict, uba_kwargs: dict) -> None:
-        for bench in benches:
-            sweep.add(
-                f"{bench}/nuba:{tag}",
-                RunKey(bench, Architecture.NUBA,
-                       replication=ReplicationPolicy.MDR, **nuba_kwargs),
-            )
-            sweep.add(
-                f"{bench}/uba:{tag}",
-                RunKey(bench, Architecture.MEM_SIDE_UBA, **uba_kwargs),
-            )
-
-    for factor in (0.5, 1.0, 2.0):
-        pair(f"size{factor:g}",
-             {"size_factor": factor}, {"size_factor": factor})
-    for spc in (1, 2, 4):
-        pair(f"spc{spc}",
-             {"slices_per_channel": spc}, {"slices_per_channel": spc})
-    for factor in (0.5, 1.0, 2.0):
-        pair(f"llc{factor:g}",
-             {"llc_capacity_factor": factor},
-             {"llc_capacity_factor": factor})
-    for page_bytes in (4096, 16384):
-        pair(f"page{page_bytes}",
-             {"page_bytes": page_bytes}, {"page_bytes": page_bytes})
-    pair("pae", {}, {"address_map": AddressMapKind.PAE})
-    for threshold in (0.8, 0.9, 0.95):
-        for bench in benches:
-            sweep.add(
-                f"{bench}/lab{threshold:g}",
-                RunKey(bench, Architecture.NUBA,
-                       replication=ReplicationPolicy.NONE,
-                       lab_threshold=threshold),
-            )
-            sweep.add(f"{bench}/uba", uba_key(bench))
-    return sweep
-
-
-def fig16_sweep(runner: ExperimentRunner,
-                subset: Optional[Sequence[str]] = None,
-                modules: int = 4) -> Sweep:
-    """Figure 16: monolithic vs MCM, UBA vs NUBA, at 2x size."""
-    benches = _benches(subset)
-    link_gbps = (
-        720.0 * runner.base_gpu.memory.total_bandwidth_gbps / 720.0 / 4
-    )
-    sweep = Sweep("fig16")
-    for bench in benches:
-        sweep.add(f"{bench}/mono-uba",
-                  RunKey(bench, Architecture.MEM_SIDE_UBA,
-                         size_factor=2.0))
-        sweep.add(f"{bench}/mono-nuba",
-                  RunKey(bench, Architecture.NUBA,
-                         replication=ReplicationPolicy.MDR,
-                         size_factor=2.0))
-        sweep.add(f"{bench}/mcm-uba",
-                  RunKey(bench, Architecture.MEM_SIDE_UBA,
-                         size_factor=2.0, mcm_modules=modules,
-                         mcm_link_gbps=link_gbps))
-        sweep.add(f"{bench}/mcm-nuba",
-                  RunKey(bench, Architecture.NUBA,
-                         replication=ReplicationPolicy.MDR,
-                         size_factor=2.0, mcm_modules=modules,
-                         mcm_link_gbps=link_gbps))
-    return sweep
-
-
-def sec76_sweep(runner: ExperimentRunner,
-                subset: Optional[Sequence[str]] = None) -> Sweep:
-    """Section 7.6: LAB vs page migration vs page replication."""
-    sweep = Sweep("sec76")
-    for bench in _benches(subset):
-        sweep.add(f"{bench}/uba", uba_key(bench))
-        sweep.add(f"{bench}/lab", nuba_norep_key(bench))
-        sweep.add(
-            f"{bench}/migration",
-            RunKey(bench, Architecture.NUBA,
-                   replication=ReplicationPolicy.NONE,
-                   page_policy=PagePolicy.MIGRATION),
-        )
-        sweep.add(
-            f"{bench}/page-rep",
-            RunKey(bench, Architecture.NUBA,
-                   replication=ReplicationPolicy.NONE,
-                   page_policy=PagePolicy.PAGE_REPLICATION),
-        )
-    return sweep
-
-
-def _empty_sweep(name: str):
-    def build(runner: ExperimentRunner,
-              subset: Optional[Sequence[str]] = None) -> Sweep:
-        return Sweep(name)
-    return build
-
-
-#: Figure name -> sweep builder, mirroring ``repro.cli.FIGURES``.
-FIGURE_SWEEPS: Dict[str, Callable[..., Sweep]] = {
-    "table2": _empty_sweep("table2"),
-    "fig3": _empty_sweep("fig3"),
-    "fig7": fig7_sweep,
-    "fig8": fig8_sweep,
-    "fig9": fig9_sweep,
-    "fig10": fig10_sweep,
-    "fig11": fig11_sweep,
-    "fig12": fig12_sweep,
-    "fig13": fig13_sweep,
-    "fig14": fig14_sweep,
-    "fig16": fig16_sweep,
-    "sec76": sec76_sweep,
-}
-
-#: Figures whose sweeps actually contain points.
-SWEEPABLE = sorted(
-    name for name in FIGURE_SWEEPS if name not in ("table2", "fig3")
-)
 
 
 def figure_sweep(name: str, runner: ExperimentRunner,
                  subset: Optional[Sequence[str]] = None) -> Sweep:
     """The declarative sweep behind one paper figure."""
-    try:
-        builder = FIGURE_SWEEPS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown figure {name!r}; known: {sorted(FIGURE_SWEEPS)}"
-        ) from None
-    return builder(runner, subset)
+    return Sweep.of(name, figure_points(name, runner.base_gpu, subset))

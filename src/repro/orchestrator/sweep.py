@@ -3,7 +3,8 @@
 A :class:`Sweep` is nothing but an ordered list of (label, RunKey)
 pairs -- the full description of what a figure or study needs to
 simulate, separated from *how* it is executed. The CLI, the benchmark
-harness and the figure catalogue all build Sweeps and hand them to the
+harness and the service build Sweeps (a figure's through
+:func:`~repro.orchestrator.catalog.figure_sweep`) and hand them to the
 :class:`~repro.orchestrator.orchestrator.SweepOrchestrator`, which
 deduplicates identical keys across sweeps (Figures 7, 8, 9 and 13
 share most of their points) before fanning them out to workers.
@@ -12,9 +13,7 @@ share most of their points) before fanning them out to workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union,
-)
+from typing import Dict, Iterable, Iterator, List, Tuple, Union
 
 from repro.experiments.runner import RunKey
 
@@ -51,36 +50,6 @@ class Sweep:
                 built.append(SweepPoint(label, key))
         return cls(name, built)
 
-    @classmethod
-    def grid(cls, name: str, benchmarks: Sequence[str],
-             variants: Mapping[str, Mapping[str, object]]) -> "Sweep":
-        """The cross product of benchmarks and keyword variants.
-
-        ``variants`` maps a variant label to the RunKey kwargs of that
-        configuration; labels come out as ``"<bench>/<variant>"``::
-
-            Sweep.grid("fig7", ["KMEANS", "AN"], {
-                "uba": {"architecture": Architecture.MEM_SIDE_UBA},
-                "nuba": {"architecture": Architecture.NUBA,
-                         "replication": ReplicationPolicy.MDR},
-            })
-        """
-        points = [
-            SweepPoint(f"{bench}/{label}", RunKey(bench, **dict(kwargs)))
-            for bench in benchmarks
-            for label, kwargs in variants.items()
-        ]
-        return cls(name, points)
-
-    @classmethod
-    def merge(cls, name: str, sweeps: Iterable["Sweep"]) -> "Sweep":
-        """Concatenate sweeps (duplicates are kept; the orchestrator
-        deduplicates by key at execution time)."""
-        merged: List[SweepPoint] = []
-        for sweep in sweeps:
-            merged.extend(sweep.points)
-        return cls(name, merged)
-
     def add(self, label: str, key: RunKey) -> "Sweep":
         """Append one labelled point (chainable)."""
         self.points.append(SweepPoint(label, key))
@@ -92,13 +61,6 @@ class Sweep:
         for point in self.points:
             seen.setdefault(point.key, None)
         return list(seen)
-
-    def labelled(self) -> Dict[RunKey, str]:
-        """Distinct keys mapped to their first label."""
-        labels: Dict[RunKey, str] = {}
-        for point in self.points:
-            labels.setdefault(point.key, point.label)
-        return labels
 
     def __len__(self) -> int:
         return len(self.points)

@@ -9,7 +9,7 @@ energy) without reaching into component internals.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 
 class Histogram:
@@ -135,10 +135,10 @@ def harmonic_mean(values: Iterable[float]) -> float:
     return len(values) / sum(1.0 / v for v in values)
 
 
-def percent_improvement(speedups: Mapping[str, float]) -> float:
+def percent_improvement(speedups: Iterable[float]) -> float:
     """Harmonic-mean speedup expressed as a percentage improvement.
 
     The paper "computes average speedup using the harmonic mean and then
     reports average improvement as a percentage" (Section 6).
     """
-    return (harmonic_mean(speedups.values()) - 1.0) * 100.0
+    return (harmonic_mean(speedups) - 1.0) * 100.0

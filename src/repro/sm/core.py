@@ -18,7 +18,7 @@ merged into an in-flight miss complete by returning to their warp.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set
 
 from repro.cache.l1 import L1Cache
 from repro.config.gpu import GPUConfig

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.analysis.report import (
-    format_table,
-    geometric_mean,
-    improvement_summary,
-    speedup_table,
-)
+from repro.analysis.report import format_table
 from repro.analysis.sharing import (
     SHARING_BUCKETS,
     bucket_bounds,
@@ -65,40 +60,9 @@ class TestSharingProfile:
 
 
 class TestReport:
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_geometric_mean_validates(self):
-        with pytest.raises(ValueError):
-            geometric_mean([])
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, -1.0])
-
-    def test_improvement_summary(self):
-        summary = improvement_summary({"a": 1.2, "b": 1.2})
-        assert summary["mean_improvement_pct"] == pytest.approx(20.0)
-        assert summary["best"] in ("a", "b")
-        assert summary["count"] == 2
-
-    def test_improvement_summary_empty(self):
-        with pytest.raises(ValueError):
-            improvement_summary({})
-
     def test_format_table_aligns(self):
         table = format_table(["a", "bench"], [["x", 1], ["longer", 22]])
         lines = table.splitlines()
         assert len(lines) == 4
         assert len(set(len(line.rstrip()) for line in lines[2:])) <= 2
 
-    def test_speedup_table(self):
-        cycles = {
-            "uba": {"K": 1000, "A": 2000},
-            "nuba": {"K": 500, "A": 1000},
-        }
-        table = speedup_table(cycles, baseline="uba")
-        assert "2.000x" in table
-        assert "hmean" in table
-
-    def test_speedup_table_missing_baseline(self):
-        with pytest.raises(KeyError):
-            speedup_table({"x": {}}, baseline="uba")

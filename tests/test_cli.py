@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import FIGURES, _architecture, main
+from repro.cli import _architecture, _build_parser, main
 from repro.config.topology import Architecture
 
 
@@ -44,7 +44,8 @@ class TestParsing:
     def test_every_paper_figure_has_a_cli_entry(self):
         expected = {"table2", "fig3", "fig7", "fig8", "fig9", "fig10",
                     "fig11", "fig12", "fig13", "fig14", "fig16", "sec76"}
-        assert set(FIGURES) == expected
+        for name in expected:
+            assert _build_parser().parse_args(["figure", name]).name == name
 
 
 class TestCommands:

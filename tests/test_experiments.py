@@ -8,7 +8,7 @@ from repro.config.topology import (
     PagePolicy,
     ReplicationPolicy,
 )
-from repro.experiments import figures
+from repro.experiments.figures import run_figure
 from repro.experiments.runner import ExperimentRunner, RunKey
 
 
@@ -91,39 +91,38 @@ class TestRunnerExecution:
 class TestFigures:
     BENCHES = ["KMEANS", "AN"]
 
-    def test_table2_renders(self):
-        result = figures.table2_catalogue()
+    def test_table2_renders(self, runner):
+        result = run_figure("table2", runner)
         assert len(result.rows) == 29
         assert "Table 2" in result.render()
 
     def test_fig7_shape(self, runner):
-        result = figures.fig7_performance(runner, self.BENCHES)
+        result = run_figure("fig7", runner, self.BENCHES)
         assert len(result.rows) == 2
         assert "nuba_improvement_all_pct" in result.summary
 
     def test_fig8_shape(self, runner):
-        result = figures.fig8_bandwidth(runner, self.BENCHES)
+        result = run_figure("fig8", runner, self.BENCHES)
         assert len(result.rows) == 2
 
     def test_fig9_uba_always_remote(self, runner):
-        result = figures.fig9_miss_breakdown(runner, self.BENCHES)
+        result = run_figure("fig9", runner, self.BENCHES)
         assert all(row[1] == "0.0%" for row in result.rows)
 
     def test_fig11_policies(self, runner):
-        result = figures.fig11_page_allocation(runner, ["KMEANS"])
+        result = run_figure("fig11", runner, ["KMEANS"])
         assert "lab_vs_first_touch_pct" in result.summary
 
     def test_fig12_replication(self, runner):
-        result = figures.fig12_replication(runner, ["AN"])
+        result = run_figure("fig12", runner, ["AN"])
         assert len(result.rows) == 1
 
     def test_fig13_energy(self, runner):
-        result = figures.fig13_energy(runner, ["KMEANS"])
+        result = run_figure("fig13", runner, ["KMEANS"])
         assert result.summary["mean_noc_energy_saving_pct"] > 0
 
     def test_render_contains_summary(self, runner):
-        result = figures.fig7_performance(runner, ["KMEANS"],
-                                          include_sm_side=False)
+        result = run_figure("fig7", runner, ["KMEANS"])
         text = result.render()
         assert "Figure 7" in text
         assert "nuba_improvement_all_pct" in text
@@ -133,7 +132,7 @@ class TestSweepFigures:
     """The sweep figures on a tiny machine: structure, not magnitudes."""
 
     def test_fig10_rows_and_power_monotonic(self, runner):
-        result = figures.fig10_noc_power(runner, ["KMEANS"])
+        result = run_figure("fig10", runner, ["KMEANS"])
         assert len(result.rows) == 9  # 3 architectures x 3 NoC points
         # NoC power rises with NoC bandwidth for every architecture.
         for arch in ("UBA", "SM-UBA", "NUBA"):
@@ -141,7 +140,7 @@ class TestSweepFigures:
             assert powers == sorted(powers)
 
     def test_fig14_axes_present(self, runner):
-        result = figures.fig14_sensitivity(runner, ["KMEANS"])
+        result = run_figure("fig14", runner, ["KMEANS"])
         axes = {row[0] for row in result.rows}
         assert axes == {
             "GPU size", "LLC slices/partition", "LLC capacity",
@@ -149,12 +148,12 @@ class TestSweepFigures:
         }
 
     def test_fig16_summary(self, runner):
-        result = figures.fig16_mcm(runner, ["KMEANS"], modules=2)
+        result = run_figure("fig16", runner, ["KMEANS"])
         assert "monolithic_improvement_pct" in result.summary
         assert "mcm_improvement_pct" in result.summary
 
     def test_sec76_rows(self, runner):
-        result = figures.sec76_alternatives(runner, ["KMEANS"])
+        result = run_figure("sec76", runner, ["KMEANS"])
         assert len(result.rows) == 1
         assert len(result.rows[0]) == 4
 

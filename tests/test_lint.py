@@ -6,9 +6,6 @@ the real tree lints clean, and deleting any single ``wake()`` call or
 import json
 import re
 import textwrap
-from pathlib import Path
-
-import pytest
 
 from repro.cli import main as cli_main
 from repro.lint import Baseline, lint_paths, lint_sources, load_baseline

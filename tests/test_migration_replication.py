@@ -1,7 +1,5 @@
 """Tests for the Section 7.6 alternatives: migration and page replication."""
 
-import pytest
-
 from repro.config.presets import small_config
 from repro.config.topology import AddressMapKind, PagePolicy
 from repro.driver.allocator import make_allocator

@@ -6,6 +6,7 @@ shipping RunResults back.
 """
 
 import dataclasses
+import hashlib
 import time
 
 import pytest
@@ -13,11 +14,10 @@ import pytest
 from repro.config.presets import small_config
 from repro.config.topology import Architecture, ReplicationPolicy
 from repro.core.system import RunResult
-from repro.experiments import figures
+from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.runner import ExperimentRunner, RunKey
 from repro.experiments.store import ResultStore
 from repro.orchestrator import (
-    SWEEPABLE,
     ProgressReporter,
     Sweep,
     SweepOrchestrator,
@@ -73,25 +73,11 @@ def _crashy_task(key: RunKey) -> RunResult:
 
 
 class TestSweep:
-    def test_grid_cross_product(self):
-        sweep = Sweep.grid("g", ["KMEANS", "AN"], {
-            "uba": {"architecture": Architecture.MEM_SIDE_UBA},
-            "nuba": {"architecture": Architecture.NUBA},
-        })
-        assert len(sweep) == 4
-        assert sweep.points[0].label == "KMEANS/uba"
-        assert sweep.points[3].key == RunKey("AN", Architecture.NUBA)
-
     def test_unique_keys_deduplicate(self):
         sweep = tiny_sweep()
         sweep.add("again", RunKey("KMEANS"))
         assert len(sweep) == 4
         assert len(sweep.unique_keys()) == 3
-
-    def test_merge_and_labels(self):
-        merged = Sweep.merge("m", [tiny_sweep(), tiny_sweep()])
-        assert len(merged) == 6
-        assert len(merged.labelled()) == 3
 
 
 class TestInlineExecution:
@@ -235,42 +221,50 @@ class TestResume:
         assert other.simulations_run == 1
 
 
+#: Each figure's full point set on the default GPU: sha256 (first 16 hex
+#: digits) of its ``label<TAB>repr(key)`` lines, point count and unique
+#: keys. Figure 7's labels are the ``ch4/`` pin ids of
+#: ``bench/expected.json``, and its order feeds the seeded shuffles of
+#: the fig7-sweep and service-mixed benchmarks.
+POINT_SETS = {
+    "table2": ("e3b0c44298fc1c14", 0, 0),
+    "fig3": ("e3b0c44298fc1c14", 0, 0),
+    "fig7": ("12e2c02578901392", 116, 116),
+    "fig8": ("109022403665824d", 87, 87),
+    "fig9": ("109022403665824d", 87, 87),
+    "fig10": ("d80617e1ae35f258", 290, 290),
+    "fig11": ("ff6eb823cc2ccaaf", 116, 116),
+    "fig12": ("7a477052cdbf948f", 39, 39),
+    "fig13": ("c20541bc858eecc5", 58, 58),
+    "fig14": ("e061ee3140e4bb8f", 870, 696),
+    "fig16": ("44b2c477e54e1452", 116, 116),
+    "sec76": ("41011fb1614e6122", 116, 116),
+}
+
+
 class TestCatalog:
-    def test_every_cli_figure_has_a_sweep(self):
-        from repro.cli import FIGURES
-        from repro.orchestrator import FIGURE_SWEEPS
-        assert set(FIGURE_SWEEPS) == set(FIGURES)
-        assert "fig7" in SWEEPABLE and "table2" not in SWEEPABLE
+    @pytest.mark.parametrize("name", sorted(FIGURES))
+    def test_point_set_is_pinned(self, name):
+        runner = ExperimentRunner()
+        sweep = figure_sweep(name, runner, None)
+        text = "\n".join(f"{p.label}\t{p.key!r}" for p in sweep)
+        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert (digest, len(sweep), len(sweep.unique_keys())) == (
+            POINT_SETS[name])
+        assert runner.simulations_run == 0
 
-    @pytest.mark.parametrize("name,figure_fn", [
-        ("fig7", figures.fig7_performance),
-        ("fig8", figures.fig8_bandwidth),
-        ("fig11", figures.fig11_page_allocation),
-        ("fig12", figures.fig12_replication),
-        ("fig13", figures.fig13_energy),
-        ("sec76", figures.sec76_alternatives),
-    ])
-    def test_sweep_covers_figure_exactly(self, name, figure_fn):
-        """After the declarative sweep runs, the figure function must
-        not simulate a single extra point."""
-        benches = ["KMEANS", "AN"]
+    @pytest.mark.parametrize("name", sorted(
+        name for name, (_, points, _) in POINT_SETS.items() if points))
+    def test_sweep_covers_figure_exactly(self, name):
+        """After the figure's sweep runs, building the figure must not
+        simulate a single extra point."""
         runner = make_runner()
         report = SweepOrchestrator(runner, workers=1).run(
-            figure_sweep(name, runner, benches)
+            figure_sweep(name, runner, ["KMEANS"])
         )
         assert report.ok
         simulated = runner.simulations_run
-        figure_fn(runner, benches)
-        assert runner.simulations_run == simulated
-
-    def test_fig10_sweep_covers_figure(self):
-        runner = make_runner()
-        report = SweepOrchestrator(runner, workers=1).run(
-            figure_sweep("fig10", runner, ["KMEANS"])
-        )
-        assert report.ok
-        simulated = runner.simulations_run
-        figures.fig10_noc_power(runner, ["KMEANS"])
+        run_figure(name, runner, ["KMEANS"])
         assert runner.simulations_run == simulated
 
     def test_empty_sweeps_for_system_figures(self):

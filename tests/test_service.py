@@ -572,14 +572,16 @@ class TestHttpSurface:
     def test_bad_submission_is_400(self, server_factory, client_factory):
         server = server_factory(make_runner(), workers=1)
         client = client_factory(server.url)
-        with pytest.raises(ServiceError) as excinfo:
-            client._request("POST", "/jobs", body={"points": [
-                {"benchmark": "AN", "bogus": True},
-            ]})
-        assert excinfo.value.status == 400
-        with pytest.raises(ServiceError) as excinfo:
-            client._request("POST", "/jobs", body={})
-        assert excinfo.value.status == 400
+        for body in [
+            {"points": [{"benchmark": "AN", "bogus": True}]},
+            {},
+            {"figure": "fig99"},
+            {"figure": "table2"},
+            {"figure": "fig7", "subset": "KMEANS"},
+        ]:
+            with pytest.raises(ServiceError) as excinfo:
+                client._request("POST", "/jobs", body=body)
+            assert excinfo.value.status == 400, body
 
     def test_unknown_route_is_404(self, server_factory, client_factory):
         server = server_factory(make_runner(), workers=1)

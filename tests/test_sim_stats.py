@@ -93,5 +93,4 @@ class TestHarmonicMean:
         assert mean <= max(values) * (1 + 1e-9)
 
     def test_percent_improvement(self):
-        speedups = {"a": 1.5, "b": 1.5}
-        assert percent_improvement(speedups) == pytest.approx(50.0)
+        assert percent_improvement([1.5, 1.5]) == pytest.approx(50.0)
